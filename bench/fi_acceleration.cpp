@@ -179,18 +179,19 @@ void report_parallel_campaign() {
 }
 
 /// Tentpole section for the allocation-free trial hot path (DESIGN.md §11):
-/// the legacy per-trial reference engine (fresh Cpu + full golden replay per
-/// trial) vs the SoA batch engine restoring golden snapshots from
-/// arena-backed scratch, with scalar and runtime-dispatched SIMD kernels.
+/// the per-trial reference body (fresh Cpu + full golden replay per trial) vs
+/// the batched body restoring golden snapshots from arena-backed scratch,
+/// with scalar and runtime-dispatched SIMD kernels.
 /// All three modes must produce bit-identical records — speed is the only
 /// permitted difference.
 void report_batch_modes(const FaultInjector& injector) {
   bench::print_header(
       "Trial hot path — reference vs SoA batch (scalar / SIMD kernels)",
       "100k-trial serial register campaign on the checksum workload. "
-      "`reference` forces the legacy engine (set_campaign_batch_enabled(false), "
-      "also reachable via LORE_SIMD_SCALAR=1); `soa+scalar` pins the batch "
-      "engine to scalar kernels; `soa+simd` uses the best runtime dispatch.");
+      "`reference` runs the per-trial reference body inject() "
+      "(set_campaign_batch_enabled(false), also reachable via LORE_SIMD_SCALAR=1); "
+      "`soa+scalar` pins the batched body to scalar kernels; `soa+simd` uses the "
+      "best runtime dispatch. All three run on the same chunk engine.");
   constexpr std::size_t kTrials = 100000;
   constexpr std::uint64_t kSeed = 2024;
   const bool engine_saved = lore::campaign_batch_enabled();
@@ -306,10 +307,6 @@ void report_prune_campaign() {
       "trial feeds the model), then train. Pruned rows skip predicted-benign "
       "trials except a 5% seeded audit; false_benign_rate is the "
       "audit-measured share of the pruned class that was NOT benign.");
-  if (!lore::campaign_uses_batch({})) {
-    bench::print_note("batch engine disabled (LORE_SIMD_SCALAR=1?) — section skipped");
-    return;
-  }
   const auto w = make_matmul(8, 5);
   const FaultInjector injector(w);
   constexpr std::size_t kTrials = 20000;

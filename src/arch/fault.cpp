@@ -416,27 +416,36 @@ lore::CampaignSpec FaultInjector::resolved_spec(const lore::CampaignSpec& spec,
   return s;
 }
 
+template <typename Run>
+auto FaultInjector::with_trial_body(const lore::CampaignSpec& s, FaultTarget target,
+                                    Run&& run) const {
+  // The batched snapshot-restore body unless the process asked for the
+  // per-trial reference `inject()` (LORE_SIMD_SCALAR=1) — the differential
+  // arbiter. Both poll the deadline at trial start.
+  if (!lore::campaign_batch_enabled())
+    return run([&](std::size_t t, lore::Rng& rng, const lore::CancelToken& cancel) {
+      cancel.throw_if_cancelled();
+      FaultRecord rec = inject(random_site(rng, target));
+      rec.trial_seed = lore::trial_seed(s.base_seed, t);
+      return rec;
+    });
+  const BatchContext ctx{workload_, golden_, build_golden_trace()};
+  return run([&](std::size_t t, lore::Rng& rng, const lore::CancelToken& cancel) {
+    cancel.throw_if_cancelled();
+    FaultRecord rec = inject_batched(ctx, scratch_for(ctx), random_site(rng, target));
+    rec.trial_seed = lore::trial_seed(s.base_seed, t);
+    return rec;
+  });
+}
+
 lore::CampaignCheckpoint FaultInjector::campaign_shard(const lore::CampaignSpec& spec,
                                                        lore::TrialRange range,
                                                        FaultTarget target) const {
   LORE_OBS_SPAN(span, "campaign.arch_shard");
   const lore::CampaignSpec s = resolved_spec(spec, target);
-  if (lore::campaign_batch_enabled()) {
-    const BatchContext ctx{workload_, golden_, build_golden_trace()};
-    return lore::run_campaign_shard<FaultRecord, FaultRecordCodec>(
-        s, range, [&](std::size_t t, lore::Rng& rng, const lore::CancelToken&) {
-          FaultRecord rec =
-              inject_batched(ctx, scratch_for(ctx), random_site(rng, target));
-          rec.trial_seed = lore::trial_seed(s.base_seed, t);
-          return rec;
-        });
-  }
-  return lore::run_campaign_shard<FaultRecord, FaultRecordCodec>(
-      s, range, [&](std::size_t t, lore::Rng& rng, const lore::CancelToken&) {
-        FaultRecord rec = inject(random_site(rng, target));
-        rec.trial_seed = lore::trial_seed(s.base_seed, t);
-        return rec;
-      });
+  return with_trial_body(s, target, [&](auto&& body) {
+    return lore::run_campaign_shard<FaultRecord, FaultRecordCodec>(s, range, body);
+  });
 }
 
 lore::CampaignResult<FaultRecord> FaultInjector::records_from_checkpoint(
@@ -449,24 +458,9 @@ lore::CampaignResult<FaultRecord> FaultInjector::campaign_run(
   LORE_OBS_SPAN(span, "campaign.arch");
   LORE_OBS_TIMER(timer, "campaign.arch_us");
   const lore::CampaignSpec s = resolved_spec(spec, target);
-  lore::CampaignResult<FaultRecord> result;
-  if (lore::campaign_uses_batch(s)) {
-    const BatchContext ctx{workload_, golden_, build_golden_trace()};
-    result = lore::run_campaign_batched<FaultRecord, FaultRecordCodec>(
-        s, [&](std::size_t t, lore::Rng& rng, const lore::CancelToken&) {
-          FaultRecord rec = inject_batched(ctx, scratch_for(ctx), random_site(rng, target));
-          rec.trial_seed = lore::trial_seed(s.base_seed, t);
-          return rec;
-        });
-  } else {
-    result = lore::run_campaign<FaultRecord, FaultRecordCodec>(
-        s, [&](std::size_t t, lore::Rng& rng, const lore::CancelToken& cancel) {
-          cancel.throw_if_cancelled();
-          FaultRecord rec = inject(random_site(rng, target));
-          rec.trial_seed = lore::trial_seed(s.base_seed, t);
-          return rec;
-        });
-  }
+  auto result = with_trial_body(s, target, [&](auto&& body) {
+    return lore::run_campaign_batched<FaultRecord, FaultRecordCodec>(s, body);
+  });
   count_completed_outcomes("campaign.arch", result);
   return result;
 }
@@ -475,12 +469,11 @@ lore::CampaignResult<FaultRecord> FaultInjector::campaign_run_pruned(
     const lore::CampaignSpec& spec, FaultTarget target, ml::Predictor& predictor,
     const PruneCampaignOptions& opt) const {
   const lore::CampaignSpec s = resolved_spec(spec, target);
-  // The reference engine never prunes; keep its exact semantics.
-  if (!lore::campaign_uses_batch(s)) return campaign_run(spec, target);
+  // Pruning is for plain specs only; keep a resilient run's exact semantics.
+  if (!lore::plain_campaign_spec(s)) return campaign_run(spec, target);
 
   LORE_OBS_SPAN(span, "campaign.arch_pruned");
   LORE_OBS_TIMER(timer, "campaign.arch_us");
-  const BatchContext ctx{workload_, golden_, build_golden_trace()};
   const FaultSiteFeaturizer featurizer(workload_, golden_.cycles);
   const double threshold = opt.benign_threshold >= 0.0
                                ? opt.benign_threshold
@@ -525,14 +518,9 @@ lore::CampaignResult<FaultRecord> FaultInjector::campaign_run_pruned(
                       rec.outcome == Outcome::kBenign);
   };
 
-  auto result = lore::run_campaign_pruned<FaultRecord, FaultRecordCodec>(
-      s,
-      [&](std::size_t t, lore::Rng& rng, const lore::CancelToken&) {
-        FaultRecord rec = inject_batched(ctx, scratch_for(ctx), random_site(rng, target));
-        rec.trial_seed = lore::trial_seed(s.base_seed, t);
-        return rec;
-      },
-      hooks);
+  auto result = with_trial_body(s, target, [&](auto&& body) {
+    return lore::run_campaign_pruned<FaultRecord, FaultRecordCodec>(s, body, hooks);
+  });
   count_completed_outcomes("campaign.arch", result);
   return result;
 }

@@ -112,8 +112,8 @@ class FaultInjector {
   /// current snapshot; predicted-benign trials are skipped as
   /// `TrialStatus::kPruned` except for the seeded audit fraction. Executed
   /// trials feed back into the predictor, so the model improves while the
-  /// campaign runs. Falls back to the full (never-pruning) engine when the
-  /// batched fast path is off or the spec is not plain.
+  /// campaign runs. A spec with a resilience policy (not
+  /// `plain_campaign_spec`) runs as `campaign_run`, pruning nothing.
   CampaignResult<FaultRecord> campaign_run_pruned(const CampaignSpec& spec,
                                                   FaultTarget target,
                                                   ml::Predictor& predictor,
@@ -161,6 +161,11 @@ class FaultInjector {
                              const FaultSite& site) const;
 
   void prepare_cpu(Cpu& cpu) const;
+
+  /// `run(body)` with the campaign's trial body: batched, or the reference
+  /// `inject()` when `campaign_batch_enabled()` is off.
+  template <typename Run>
+  auto with_trial_body(const CampaignSpec& s, FaultTarget target, Run&& run) const;
 
   const Workload& workload_;
   GoldenRun golden_;

@@ -518,6 +518,35 @@ lore::CampaignSpec pipeline_spec_with_domain(const Workload& w,
   return s;
 }
 
+/// `run(body)` with the pipeline campaign's trial body: the batched
+/// snapshot-restore body, or the per-trial reference `pipeline_inject()` when
+/// `campaign_batch_enabled()` is off (LORE_SIMD_SCALAR=1) — the differential
+/// arbiter. Both poll the deadline at trial start.
+template <typename Run>
+auto with_pipeline_body(const Workload& w, const lore::CampaignSpec& s,
+                        std::uint64_t total_cycles, Run&& run) {
+  if (!lore::campaign_batch_enabled())
+    return run([&](std::size_t t, lore::Rng& rng, const lore::CancelToken& cancel) {
+      cancel.throw_if_cancelled();
+      const PipelineFaultSite site = draw_pipeline_site(rng, total_cycles);
+      return make_pipeline_record(site, pipeline_inject(w, site),
+                                  lore::trial_seed(s.base_seed, t));
+    });
+  // Golden output and the instrumented clean-run trace are hoisted out of
+  // the trial loop; the reference body recomputes both per trial.
+  const std::uint64_t budget = 4 * w.max_cycles + 64;
+  const GoldenRun golden = run_golden(w);
+  const PipeBatchContext ctx{w, golden, budget,
+                             build_pipeline_trace(w, budget, total_cycles)};
+  return run([&](std::size_t t, lore::Rng& rng, const lore::CancelToken& cancel) {
+    cancel.throw_if_cancelled();
+    const PipelineFaultSite site = draw_pipeline_site(rng, total_cycles);
+    return make_pipeline_record(site,
+                                pipeline_inject_batched(ctx, pipe_scratch_for(ctx), site),
+                                lore::trial_seed(s.base_seed, t));
+  });
+}
+
 }  // namespace
 
 CampaignSpec pipeline_campaign_spec(const Workload& w, const CampaignSpec& spec) {
@@ -529,25 +558,9 @@ CampaignCheckpoint pipeline_campaign_shard(const Workload& w, const CampaignSpec
   LORE_OBS_SPAN(span, "campaign.pipeline_shard");
   const std::uint64_t total_cycles = pipeline_probe_cycles(w);
   const lore::CampaignSpec s = pipeline_spec_with_domain(w, spec, total_cycles);
-  const std::uint64_t budget = 4 * w.max_cycles + 64;
-  if (lore::campaign_batch_enabled()) {
-    const GoldenRun golden = run_golden(w);
-    const PipeBatchContext ctx{w, golden, budget,
-                               build_pipeline_trace(w, budget, total_cycles)};
-    return lore::run_campaign_shard<FaultRecord, PipelineRecordCodec>(
-        s, range, [&](std::size_t t, lore::Rng& rng, const lore::CancelToken&) {
-          const PipelineFaultSite site = draw_pipeline_site(rng, total_cycles);
-          return make_pipeline_record(
-              site, pipeline_inject_batched(ctx, pipe_scratch_for(ctx), site),
-              lore::trial_seed(s.base_seed, t));
-        });
-  }
-  return lore::run_campaign_shard<FaultRecord, PipelineRecordCodec>(
-      s, range, [&](std::size_t t, lore::Rng& rng, const lore::CancelToken&) {
-        const PipelineFaultSite site = draw_pipeline_site(rng, total_cycles);
-        return make_pipeline_record(site, pipeline_inject(w, site),
-                                    lore::trial_seed(s.base_seed, t));
-      });
+  return with_pipeline_body(w, s, total_cycles, [&](auto&& body) {
+    return lore::run_campaign_shard<FaultRecord, PipelineRecordCodec>(s, range, body);
+  });
 }
 
 CampaignResult<FaultRecord> pipeline_records_from_checkpoint(
@@ -561,31 +574,9 @@ CampaignResult<FaultRecord> pipeline_campaign_run(const Workload& w,
   LORE_OBS_TIMER(timer, "campaign.pipeline_us");
   const std::uint64_t total_cycles = pipeline_probe_cycles(w);
   const lore::CampaignSpec s = pipeline_spec_with_domain(w, spec, total_cycles);
-
-  const std::uint64_t budget = 4 * w.max_cycles + 64;
-  lore::CampaignResult<FaultRecord> result;
-  if (lore::campaign_uses_batch(s)) {
-    // Golden output and the instrumented clean-run trace are hoisted out of
-    // the trial loop; the reference body recomputes both per trial.
-    const GoldenRun golden = run_golden(w);
-    const PipeBatchContext ctx{w, golden, budget,
-                               build_pipeline_trace(w, budget, total_cycles)};
-    result = lore::run_campaign_batched<FaultRecord, PipelineRecordCodec>(
-        s, [&](std::size_t t, lore::Rng& rng, const lore::CancelToken&) {
-          const PipelineFaultSite site = draw_pipeline_site(rng, total_cycles);
-          return make_pipeline_record(
-              site, pipeline_inject_batched(ctx, pipe_scratch_for(ctx), site),
-              lore::trial_seed(s.base_seed, t));
-        });
-  } else {
-    result = lore::run_campaign<FaultRecord, PipelineRecordCodec>(
-        s, [&](std::size_t t, lore::Rng& rng, const lore::CancelToken& cancel) {
-          cancel.throw_if_cancelled();
-          const PipelineFaultSite site = draw_pipeline_site(rng, total_cycles);
-          return make_pipeline_record(site, pipeline_inject(w, site),
-                                      lore::trial_seed(s.base_seed, t));
-        });
-  }
+  auto result = with_pipeline_body(w, s, total_cycles, [&](auto&& body) {
+    return lore::run_campaign_batched<FaultRecord, PipelineRecordCodec>(s, body);
+  });
   if (result.report.complete()) {
     count_campaign_outcomes("campaign.pipeline", result.records);
   } else {

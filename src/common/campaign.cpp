@@ -3,8 +3,8 @@
 #include <array>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 
 #include "src/obs/obs.hpp"
@@ -54,9 +54,9 @@ void warn_checkpoint(std::string_view source, const char* reason) {
 
 namespace {
 
-/// LORE_SIMD_SCALAR=1 forces the full scalar/per-trial reference path: the
-/// batched engine starts disabled alongside the SIMD kernels (one switch,
-/// one bit-identity contract — DESIGN.md §11).
+/// LORE_SIMD_SCALAR=1 selects the per-trial reference bodies at the arch call
+/// sites alongside the scalar SIMD kernels (one switch, one bit-identity
+/// contract — DESIGN.md §11).
 bool batch_enabled_from_env() {
   const char* env = std::getenv("LORE_SIMD_SCALAR");
   return !(env && *env && *env != '0');
@@ -230,8 +230,15 @@ std::optional<CampaignCheckpoint> decode_checkpoint(std::string_view bytes,
       warn_checkpoint(source, msg);
       return std::nullopt;
     }
+    // Every entry takes at least 12 bytes (u64 trial + u32 payload length):
+    // a count the remaining bytes cannot hold is corrupt, and must not size
+    // an allocation.
     const std::uint64_t count = r.get_u64();
-    ck.entries.reserve(count);
+    if (count > r.remaining() / 12) {
+      warn_checkpoint(source, "entry count exceeds payload");
+      return std::nullopt;
+    }
+    ck.entries.reserve(static_cast<std::size_t>(count));
     for (std::uint64_t i = 0; i < count; ++i) {
       CheckpointEntry e;
       e.trial = r.get_u64();
@@ -253,6 +260,10 @@ std::optional<CampaignCheckpoint> decode_checkpoint(std::string_view bytes,
 
 bool write_checkpoint(const std::string&, const CampaignCheckpoint&) { return false; }
 
+namespace {
+bool append_checkpoint(const std::string&, const CampaignCheckpoint&) { return false; }
+}  // namespace
+
 std::optional<CampaignCheckpoint> load_checkpoint(const std::string&,
                                                   const CampaignSpec&) {
   return std::nullopt;
@@ -260,12 +271,48 @@ std::optional<CampaignCheckpoint> load_checkpoint(const std::string&,
 
 #else
 
+namespace {
+
+/// Byte length of the LORECKP1 frame at the start of `bytes`, found by
+/// walking its length fields (0 = the bytes end before the frame does). The
+/// walk takes at most size/12 entry steps, whatever the fields claim.
+std::size_t checkpoint_frame_size(std::string_view bytes) {
+  try {
+    ByteReader r(bytes);
+    r.skip(sizeof kMagic + 4 + 8);  // magic, version, identity
+    r.skip(r.get_u32());            // build tag
+    r.skip(8);                      // trials
+    const std::uint64_t count = r.get_u64();
+    if (count > r.remaining() / 12) return 0;
+    for (std::uint64_t i = 0; i < count; ++i) {
+      r.skip(8);  // trial
+      r.skip(r.get_u32());
+    }
+    r.skip(4);  // CRC
+    return bytes.size() - r.remaining();
+  } catch (const CheckpointError&) {
+    return 0;
+  }
+}
+
+/// Append `ck` as one more frame to `path`. A crash mid-append leaves a torn
+/// tail frame that `load_checkpoint` drops.
+bool append_checkpoint(const std::string& path, const CampaignCheckpoint& ck) {
+  const std::string bytes = encode_checkpoint(ck);
+  std::FILE* f = std::fopen(path.c_str(), "ab");
+  if (!f) return false;
+  const bool ok = std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
+  return std::fclose(f) == 0 && ok;
+}
+
+}  // namespace
+
 bool write_checkpoint(const std::string& path, const CampaignCheckpoint& ck) {
   const std::string bytes = encode_checkpoint(ck);
 
   // Write to a sibling temp file and rename into place: a SIGKILL mid-write
-  // leaves either the previous checkpoint or a stray .tmp — never a torn file
-  // at `path`.
+  // leaves either the previous file or a stray .tmp — never a torn first
+  // frame at `path`.
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (!f) return false;
@@ -290,7 +337,27 @@ std::optional<CampaignCheckpoint> load_checkpoint(const std::string& path,
   char buf[1 << 16];
   for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, f)) > 0;) bytes.append(buf, n);
   std::fclose(f);
-  return decode_checkpoint(bytes, spec, path);
+
+  std::optional<CampaignCheckpoint> merged;
+  std::vector<std::uint8_t> seen;
+  for (std::size_t offset = 0; offset < bytes.size();) {
+    const std::string_view rest = std::string_view(bytes).substr(offset);
+    const std::size_t len = checkpoint_frame_size(rest);
+    if (len == 0) {
+      warn_checkpoint(path, merged ? "torn tail frame dropped" : "truncated first frame");
+      break;
+    }
+    std::optional<CampaignCheckpoint> frame = decode_checkpoint(rest.substr(0, len), spec, path);
+    if (!frame) {
+      if (len == rest.size()) break;  // an invalid last frame: dropped (warned above)
+      warn_checkpoint(path, "invalid frame before the end of the file");
+      return std::nullopt;
+    }
+    if (!merged) merged = CampaignCheckpoint{frame->identity, frame->build_tag, frame->trials, {}};
+    merge_checkpoint_entries(*merged, *frame, seen);
+    offset += len;
+  }
+  return merged;
 }
 
 #endif  // LORE_CHECKPOINT_DISABLED
@@ -336,258 +403,152 @@ std::size_t merge_checkpoint_entries(CampaignCheckpoint& into,
 
 namespace campaign_detail {
 
-CampaignCheckpoint run_campaign_shard_raw(const CampaignSpec& spec, TrialRange range,
-                                          const RawTrialFn& trial) {
-  CampaignCheckpoint ck;
-  ck.identity = spec.identity_hash();
-  ck.build_tag = checkpoint_build_tag();
-  ck.trials = spec.trials;
-  if (range.end > spec.trials) range.end = spec.trials;
-  if (range.begin >= range.end) return ck;
-
-  const std::size_t n = range.size();
-  const bool obs_on = obs::kCompiledIn && obs::enabled();
-  // Carry the caller's trace position (the worker's shard span) into the
-  // parallel bodies so per-trial events land under the right span — in the
-  // live ring AND the flight recorder, where they form the last-N record of
-  // what this worker was doing if it dies mid-shard.
-  const obs::TraceContext trace_ctx = obs::current_trace_context();
-  ck.entries.resize(n);
-  parallel_for(n, spec.threads, [&](std::size_t j) {
-    obs::TraceContextScope trace_scope(trace_ctx);
-    const std::size_t idx = range.begin + j;
-    for (unsigned attempt = 0;; ++attempt) {
-      if (attempt > 0) {
-        std::this_thread::sleep_for(spec.retry_backoff * (1u << (attempt - 1)));
-        LORE_OBS_EVENT(obs::EventKind::kTrialRetry, idx, attempt);
-      }
-      try {
-        // Fresh stream per attempt, seeded from the *global* trial index —
-        // the invariant that makes a sharded run merge bit-identical to a
-        // single-process one.
-        const double t0 = obs::TraceRecorder::now_us();
-        Rng rng(trial_seed(spec.base_seed, idx));
-        ck.entries[j] = {static_cast<std::uint64_t>(idx),
-                         trial(idx, rng, CancelToken())};
-        LORE_OBS_EVENT(obs::EventKind::kTrialCompleted, idx,
-                       obs::TraceRecorder::now_us() - t0);
-        // The fabric coordinator derives fleet throughput from scraping this
-        // counter off each worker's /metrics endpoint.
-        if (obs_on)
-          obs::MetricsRegistry::global().counter("campaign.trials_completed").add(1);
-        return;
-      } catch (...) {
-        LORE_OBS_EVENT(obs::EventKind::kTrialFailed, idx, attempt);
-        if (attempt >= spec.max_retries) throw;  // shard fails as a unit
-      }
-    }
-  });
-  return ck;
+ChunkEngine::ChunkEngine(const CampaignSpec& spec, std::size_t window_trials,
+                         std::size_t chunk, bool pruning, PruneController* controller)
+    : spec_(spec),
+      window_trials_(window_trials),
+      chunk_(chunk),
+      checkpointing_(kCheckpointCompiledIn && !spec.checkpoint_path.empty() &&
+                     spec.checkpoint_every > 0),
+      pruning_(pruning),
+      controller_(controller),
+      t_start_(Clock::now()) {
+  // One frame per chunk: an interrupt loses at most checkpoint_every trials
+  // per worker.
+  if (checkpointing_) chunk_ = std::min(chunk_, spec.checkpoint_every);
+  if (!obs::kCompiledIn || !obs::enabled()) return;
+  auto& registry = obs::MetricsRegistry::global();
+  completed_ = &registry.counter("campaign.trials_completed");
+  retried_ = &registry.counter("campaign.retries");
+  timed_out_ = &registry.counter("campaign.timeouts");
+  failed_ = &registry.counter("campaign.trial_failures");
+  progress_ = &registry.gauge("campaign.progress");
+  if (checkpointing_) {
+    checkpoints_ = &registry.counter("campaign.checkpoints");
+    eta_ = &registry.gauge("campaign.eta_s");
+    write_us_ = &registry.histogram("campaign.checkpoint_write_us");
+  }
+  if (pruning_) {
+    pruned_ = &registry.counter("campaign.trials_pruned");
+    audited_ = &registry.counter("campaign.prune_audits");
+    false_benign_counter_ = &registry.counter("campaign.prune_false_benign");
+  }
 }
 
-RawResult run_campaign_raw(const CampaignSpec& spec, const RawTrialFn& trial) {
-  using Clock = CancelToken::Clock;
-  const auto t_start = Clock::now();
-  const std::size_t n = spec.trials;
+CampaignCheckpoint ChunkEngine::frame(std::vector<CheckpointEntry> entries) const {
+  return {spec_.identity_hash(), checkpoint_build_tag(), spec_.trials, std::move(entries)};
+}
 
-  RawResult res;
-  res.payloads.resize(n);
-  res.status.assign(n, TrialStatus::kSkipped);
-  res.report.trials = n;
-
-  const bool checkpointing =
-      kCheckpointCompiledIn && !spec.checkpoint_path.empty() && spec.checkpoint_every > 0;
-
-  // `done[i]` is the publication flag of slot i: the owning worker stores the
-  // payload, then releases the flag; the checkpoint writer acquires it before
-  // reading the slot. Resumed slots are published before workers start.
-  std::unique_ptr<std::atomic<std::uint8_t>[]> done(new std::atomic<std::uint8_t>[n]);
-  for (std::size_t i = 0; i < n; ++i) done[i].store(0, std::memory_order_relaxed);
-
-  if (checkpointing) {
-    if (auto ck = load_checkpoint(spec.checkpoint_path, spec)) {
-      for (auto& e : ck->entries) {
-        const auto i = static_cast<std::size_t>(e.trial);
-        if (res.status[i] == TrialStatus::kOk) continue;  // duplicate entry
-        res.payloads[i] = std::move(e.payload);
-        res.status[i] = TrialStatus::kOk;
-        done[i].store(1, std::memory_order_relaxed);
-        ++res.report.resumed;
-      }
-      res.report.loaded_checkpoint = true;
-    }
+void ChunkEngine::start(std::vector<CheckpointEntry> resumed_entries, std::size_t resumed,
+                        bool loaded, bool work_left) {
+  resumed_ = resumed;
+  loaded_ = loaded;
+  if (completed_) {
+    obs::MetricsRegistry::global().counter("campaign.trials_resumed").add(resumed);
+    progress_->set(window_trials_ ? static_cast<double>(resumed) /
+                                        static_cast<double>(window_trials_)
+                                  : 1.0);
   }
+  if (!checkpointing_ || !work_left) return;
+  // The first frame is rewritten whole, so later appends always extend a
+  // file of this campaign; if that fails, append nothing.
+  checkpointing_ = write_checkpoint(spec_.checkpoint_path, frame(std::move(resumed_entries)));
+  if (checkpointing_) checkpoints_written_.fetch_add(1, std::memory_order_relaxed);
+}
 
-  std::vector<std::size_t> missing;
-  missing.reserve(n - res.report.resumed);
-  for (std::size_t i = 0; i < n; ++i)
-    if (res.status[i] != TrialStatus::kOk) missing.push_back(i);
-  if (spec.max_trials_per_run && missing.size() > spec.max_trials_per_run)
-    missing.resize(spec.max_trials_per_run);
+void ChunkEngine::before_retry(std::size_t trial, unsigned attempt) {
+  retries_.fetch_add(1, std::memory_order_relaxed);
+  if (retried_) retried_->add(1);
+  LORE_OBS_EVENT(obs::EventKind::kTrialRetry, trial, attempt);
+  std::this_thread::sleep_for(spec_.retry_backoff * (1u << (attempt - 1)));
+}
 
-  std::atomic<std::size_t> completed{res.report.resumed};
-  std::atomic<std::size_t> newly_completed{0};
-  std::atomic<std::size_t> retries{0}, timeout_attempts{0}, suppressed{0};
-  std::atomic<std::size_t> checkpoints_written{0};
-  std::atomic<std::size_t> since_checkpoint{0};
-  std::mutex io_mu;    // serializes checkpoint writes
-  std::mutex err_mu;   // guards first_error
-  std::string first_error;
-
-  const bool obs_on = obs::kCompiledIn && obs::enabled();
-  if (obs_on) {
-    obs::MetricsRegistry::global().counter("campaign.trials_resumed")
-        .add(res.report.resumed);
-    obs::MetricsRegistry::global().gauge("campaign.progress")
-        .set(n ? static_cast<double>(res.report.resumed) / static_cast<double>(n) : 1.0);
+void ChunkEngine::attempt_failed(std::size_t trial, unsigned attempt, const char* what) {
+  if (what == nullptr) {
+    timeout_attempts_.fetch_add(1, std::memory_order_relaxed);
+    if (timed_out_) timed_out_->add(1);
+    LORE_OBS_EVENT(obs::EventKind::kTrialTimeout, trial, attempt);
+    return;
   }
+  suppressed_.fetch_add(1, std::memory_order_relaxed);
+  if (failed_) failed_->add(1);
+  LORE_OBS_EVENT(obs::EventKind::kTrialFailed, trial, attempt);
+  std::lock_guard lock(err_mu_);
+  if (first_error_.empty()) first_error_ = what;
+}
 
-  // Snapshot every published slot into the checkpoint file. Runs concurrently
-  // with trial execution: unpublished slots are simply absent from this
-  // snapshot and appear in the next one.
-  const auto write_snapshot = [&] {
-    CampaignCheckpoint ck;
-    ck.identity = spec.identity_hash();
-    ck.build_tag = checkpoint_build_tag();
-    ck.trials = n;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (done[i].load(std::memory_order_acquire) == 0) continue;
-      ck.entries.push_back({static_cast<std::uint64_t>(i), res.payloads[i]});
-    }
-    const auto w0 = Clock::now();
-    if (write_checkpoint(spec.checkpoint_path, ck)) {
-      checkpoints_written.fetch_add(1, std::memory_order_relaxed);
-      const double us =
-          std::chrono::duration<double, std::micro>(Clock::now() - w0).count();
-      LORE_OBS_EVENT(obs::EventKind::kCheckpointWritten, ck.entries.size(), us);
-      if (obs_on) {
-        auto& reg = obs::MetricsRegistry::global();
-        reg.histogram("campaign.checkpoint_write_us").observe(us);
-        reg.counter("campaign.checkpoints").add(1);
-        // ETA from this run's own throughput (resumed trials cost nothing).
-        const auto fresh = newly_completed.load(std::memory_order_relaxed);
-        const auto total_done = completed.load(std::memory_order_relaxed);
-        if (fresh > 0 && total_done < n) {
-          const double elapsed_s =
-              std::chrono::duration<double>(Clock::now() - t_start).count();
-          reg.gauge("campaign.eta_s")
-              .set(elapsed_s / static_cast<double>(fresh) *
-                   static_cast<double>(n - total_done));
-        }
-      }
-    }
+void ChunkEngine::chunk_done(std::size_t first, std::size_t ok, std::size_t pruned,
+                             std::size_t audits, std::size_t false_benign) {
+  const std::size_t fresh = fresh_.fetch_add(ok, std::memory_order_relaxed) + ok;
+  if (completed_ && ok) {
+    completed_->add(ok);
+    progress_->set(static_cast<double>(resumed_ + fresh) /
+                   static_cast<double>(window_trials_));
+  }
+  if (!pruning_) return;
+  if (pruned && controller_) controller_->record_pruned(pruned);
+  // Prune decisions as structured events (not just a counter): a = trials
+  // pruned in this chunk, value = first trial index of the chunk — enough
+  // for intervals, traces, and the post-mortem toolkit to reconstruct which
+  // ranges were skipped and under which span.
+  if (pruned) LORE_OBS_EVENT(obs::EventKind::kTrialsPruned, pruned, static_cast<double>(first));
+  audits_.fetch_add(audits, std::memory_order_relaxed);
+  false_benign_.fetch_add(false_benign, std::memory_order_relaxed);
+  if (pruned_) {
+    pruned_->add(pruned);
+    audited_->add(audits);
+    false_benign_counter_->add(false_benign);
+  }
+}
+
+void ChunkEngine::append(std::vector<CheckpointEntry> entries) {
+  if (!checkpointing_) return;
+  const std::size_t count = entries.size();
+  const CampaignCheckpoint ck = frame(std::move(entries));
+  const auto w0 = Clock::now();
+  {
+    std::lock_guard lock(io_mu_);
+    if (!append_checkpoint(spec_.checkpoint_path, ck)) return;
+  }
+  checkpoints_written_.fetch_add(1, std::memory_order_relaxed);
+  const double us = std::chrono::duration<double, std::micro>(Clock::now() - w0).count();
+  LORE_OBS_EVENT(obs::EventKind::kCheckpointWritten, count, us);
+  if (!checkpoints_) return;
+  write_us_->observe(us);
+  checkpoints_->add(1);
+  // ETA from this run's own throughput (resumed trials cost nothing).
+  const std::size_t fresh = fresh_.load(std::memory_order_relaxed);
+  const std::size_t done = resumed_ + fresh;
+  if (fresh > 0 && done < window_trials_)
+    eta_->set(std::chrono::duration<double>(Clock::now() - t_start_).count() /
+              static_cast<double>(fresh) * static_cast<double>(window_trials_ - done));
+}
+
+void ChunkEngine::finish(CampaignReport& rep, std::span<const TrialStatus> status) {
+  const auto bytes = std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(status.data()), status.size());
+  const auto count = [&](TrialStatus s) {
+    return kernels::count_equal_u8(bytes, static_cast<std::uint8_t>(s));
   };
-
-  // Annotate every trial event with the caller's ambient span (campaign or
-  // scenario-stage span) across the thread hop into the pool.
-  const obs::TraceContext trace_ctx = obs::current_trace_context();
-  parallel_for(missing.size(), spec.threads, [&](std::size_t j) {
-    obs::TraceContextScope trace_scope(trace_ctx);
-    const std::size_t idx = missing[j];
-    if (spec.overall_budget.count() > 0 && Clock::now() - t_start >= spec.overall_budget)
-      return;  // stays kSkipped; a resume picks it up
-
-    bool last_was_timeout = false;
-    for (unsigned attempt = 0; attempt <= spec.max_retries; ++attempt) {
-      if (attempt > 0) {
-        retries.fetch_add(1, std::memory_order_relaxed);
-        if (obs_on)
-          obs::MetricsRegistry::global().counter("campaign.retries").add(1);
-        LORE_OBS_EVENT(obs::EventKind::kTrialRetry, idx, attempt);
-        std::this_thread::sleep_for(spec.retry_backoff * (1u << (attempt - 1)));
-      }
-      const CancelToken cancel =
-          spec.trial_deadline.count() > 0
-              ? CancelToken::with_deadline(Clock::now() + spec.trial_deadline)
-              : CancelToken();
-      const auto a0 = Clock::now();
-      try {
-        // A fresh stream per attempt: a retried trial replays the exact
-        // stream of its first attempt, keeping resumed/retried campaigns
-        // bit-identical to uninterrupted ones.
-        Rng rng(trial_seed(spec.base_seed, idx));
-        std::string payload = trial(idx, rng, cancel);
-        res.payloads[idx] = std::move(payload);
-        res.status[idx] = TrialStatus::kOk;
-        done[idx].store(1, std::memory_order_release);
-        completed.fetch_add(1, std::memory_order_relaxed);
-        newly_completed.fetch_add(1, std::memory_order_relaxed);
-        if (obs_on) {
-          auto& reg = obs::MetricsRegistry::global();
-          reg.counter("campaign.trials_completed").add(1);
-          reg.gauge("campaign.progress")
-              .set(static_cast<double>(completed.load(std::memory_order_relaxed)) /
-                   static_cast<double>(n));
-        }
-        LORE_OBS_EVENT(
-            obs::EventKind::kTrialCompleted, idx,
-            (std::chrono::duration<double, std::micro>(Clock::now() - a0).count()));
-        if (checkpointing &&
-            since_checkpoint.fetch_add(1, std::memory_order_relaxed) + 1 >=
-                spec.checkpoint_every) {
-          since_checkpoint.store(0, std::memory_order_relaxed);
-          // Only one writer at a time; if another write is in flight the next
-          // interval catches this batch.
-          if (io_mu.try_lock()) {
-            write_snapshot();
-            io_mu.unlock();
-          }
-        }
-        return;
-      } catch (const TrialTimeout&) {
-        last_was_timeout = true;
-        timeout_attempts.fetch_add(1, std::memory_order_relaxed);
-        if (obs_on)
-          obs::MetricsRegistry::global().counter("campaign.timeouts").add(1);
-        LORE_OBS_EVENT(obs::EventKind::kTrialTimeout, idx, attempt);
-      } catch (const std::exception& e) {
-        last_was_timeout = false;
-        suppressed.fetch_add(1, std::memory_order_relaxed);
-        if (obs_on)
-          obs::MetricsRegistry::global().counter("campaign.trial_failures").add(1);
-        LORE_OBS_EVENT(obs::EventKind::kTrialFailed, idx, attempt);
-        std::lock_guard lock(err_mu);
-        if (first_error.empty()) first_error = e.what();
-      } catch (...) {
-        last_was_timeout = false;
-        suppressed.fetch_add(1, std::memory_order_relaxed);
-        if (obs_on)
-          obs::MetricsRegistry::global().counter("campaign.trial_failures").add(1);
-        LORE_OBS_EVENT(obs::EventKind::kTrialFailed, idx, attempt);
-        std::lock_guard lock(err_mu);
-        if (first_error.empty()) first_error = "unknown trial exception";
-      }
-    }
-    res.status[idx] = last_was_timeout ? TrialStatus::kTimeout : TrialStatus::kFailed;
-  });
-
-  // Final snapshot so an interrupt between intervals loses nothing, and a
-  // finished campaign's checkpoint replays instantly on the next invocation.
-  if (checkpointing && newly_completed.load(std::memory_order_relaxed) > 0) {
-    std::lock_guard lock(io_mu);
-    write_snapshot();
-  }
-
-  auto& rep = res.report;
-  for (const auto s : res.status) {
-    switch (s) {
-      case TrialStatus::kOk: break;
-      case TrialStatus::kTimeout: ++rep.timeouts; break;
-      case TrialStatus::kFailed: ++rep.failed; break;
-      case TrialStatus::kSkipped: ++rep.skipped; break;
-      case TrialStatus::kPruned: ++rep.pruned; break;  // reference engine never prunes
-    }
-  }
-  rep.completed = completed.load(std::memory_order_relaxed);
-  rep.retries = retries.load(std::memory_order_relaxed);
-  rep.timeout_attempts = timeout_attempts.load(std::memory_order_relaxed);
-  rep.suppressed_exceptions = suppressed.load(std::memory_order_relaxed);
-  rep.checkpoints_written = checkpoints_written.load(std::memory_order_relaxed);
-  rep.first_error = std::move(first_error);
-  if (obs_on)
-    obs::MetricsRegistry::global().gauge("campaign.progress")
-        .set(n ? static_cast<double>(rep.completed) / static_cast<double>(n) : 1.0);
-  return res;
+  rep.completed = count(TrialStatus::kOk);
+  rep.timeouts = count(TrialStatus::kTimeout);
+  rep.failed = count(TrialStatus::kFailed);
+  rep.skipped = count(TrialStatus::kSkipped);
+  rep.pruned = count(TrialStatus::kPruned);
+  rep.resumed = resumed_;
+  rep.loaded_checkpoint = loaded_;
+  rep.prune_audits = audits_.load(std::memory_order_relaxed);
+  rep.prune_false_benign = false_benign_.load(std::memory_order_relaxed);
+  rep.prune_disabled = pruning_ && controller_ != nullptr && controller_->tripped();
+  rep.retries = retries_.load(std::memory_order_relaxed);
+  rep.timeout_attempts = timeout_attempts_.load(std::memory_order_relaxed);
+  rep.suppressed_exceptions = suppressed_.load(std::memory_order_relaxed);
+  rep.checkpoints_written = checkpoints_written_.load(std::memory_order_relaxed);
+  rep.first_error = std::move(first_error_);
+  if (progress_)
+    progress_->set(window_trials_ ? static_cast<double>(rep.completed) /
+                                        static_cast<double>(window_trials_)
+                                  : 1.0);
 }
 
 }  // namespace campaign_detail

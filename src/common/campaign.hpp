@@ -2,35 +2,31 @@
 // campaign in LORE shares (Sec. III fault-injection/AVF sweeps, the Fig. 5
 // rollback Monte Carlo, circuit stuck-at and cell-characterization grids).
 //
-// A `CampaignSpec` names everything about a campaign: its identity (trial
-// count, base seed, a domain fingerprint) and its resilience policy (worker
-// threads, per-trial deadline, overall budget, retry/backoff, checkpoint path
-// and interval). `run_campaign<Record>` executes it on top of the
-// deterministic engine of parallel.hpp and adds what a multi-hour production
-// run needs to survive preemption, hangs, and crashes:
+// A `CampaignSpec` names a campaign's identity (trial count, base seed, a
+// domain fingerprint) and its resilience policy (threads, per-trial deadline,
+// overall budget, retry/backoff, checkpoint path and interval). Every entry
+// point — `run_campaign`, `run_campaign_batched`, `run_campaign_pruned` and
+// the fabric's `run_campaign_shard` — runs on ONE chunk engine: trials are
+// claimed in chunks by `parallel_for_chunks` with bulk-filled seeds, each
+// attempt gets a fresh `Rng(trial_seed(base_seed, i))`, a `CancelToken` armed
+// only when a deadline is set, and a budget check at trial start; failed or
+// timed-out trials retry with backoff, then degrade into the
+// `CampaignReport` instead of aborting the run.
 //
-//  * checkpoint/resume — completed trial payloads are periodically written to
-//    an atomically-renamed, CRC-guarded file; on start a matching checkpoint
-//    (identity hash + build tag) is loaded and only the missing trial indices
-//    re-run. Because every trial's RNG stream is a pure function of
-//    (base_seed, index), a resumed campaign is bit-identical to an
-//    uninterrupted one at any thread count.
-//  * per-trial deadlines — each attempt gets a `CancelToken`; bodies poll it
-//    (`throw_if_cancelled`) and a timed-out trial is retried with exponential
-//    backoff, then recorded as `TrialStatus::kTimeout` instead of aborting
-//    the run. Trial exceptions are likewise retried, tallied, and degraded
-//    into the final `CampaignReport`.
-//  * observability — trials-complete counters, checkpoint-write histogram,
-//    timeout/retry counters and an ETA gauge through `src/obs`.
+// Checkpoint/resume: the file is a sequence of CRC-guarded LORECKP1 frames.
+// An invocation merges the frames it loads, rewrites them as one frame (tmp +
+// rename), runs only the missing trial indices, and appends one frame per
+// finished chunk. A crash mid-append leaves a torn tail frame, which the next
+// load drops with a warning. Since trial i's stream depends only on
+// (base_seed, i), a resumed campaign is bit-identical to an uninterrupted one
+// at any thread count.
 //
-// The convention for campaign call sites (see DESIGN.md §9): each domain
-// exposes `<name>_run(..., const CampaignSpec&, <Options>)` returning records
-// plus the `CampaignReport`, and a thin `<name>(...)` convenience returning
-// just the domain payload. (The legacy `Rng&`-drawing overloads were removed
-// after every in-repo caller migrated; the compat pins in
-// tests/resilience/campaign_compat_test.cpp cover the modern entry points.)
+// Call-site convention (DESIGN.md §9): each domain exposes
+// `<name>_run(..., const CampaignSpec&, <Options>)` returning records plus the
+// `CampaignReport`, and a thin `<name>(...)` returning just the payload.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -38,6 +34,7 @@
 #include <functional>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -139,7 +136,8 @@ struct CampaignSpec {
   std::chrono::milliseconds retry_backoff{1};
   /// Checkpoint file; empty = checkpointing off.
   std::string checkpoint_path{};
-  /// Completed trials between checkpoint writes.
+  /// Most trials per appended checkpoint frame (caps the chunk size while
+  /// checkpointing).
   std::size_t checkpoint_every = 64;
   /// Cap on trials attempted by this invocation (0 = unlimited) — lets an
   /// operator run a huge campaign in bounded slices, one resume per slice.
@@ -164,7 +162,7 @@ struct CampaignReport {
   std::size_t retries = 0;         // attempts beyond the first, all trials
   std::size_t timeout_attempts = 0;     // individual attempts that timed out
   std::size_t suppressed_exceptions = 0;  // attempts that threw (non-timeout)
-  std::size_t checkpoints_written = 0;
+  std::size_t checkpoints_written = 0;  // frames written (first frame + appends)
   bool loaded_checkpoint = false;
   std::string first_error;  // message of the first suppressed trial exception
 
@@ -250,7 +248,8 @@ class ByteReader {
     pos_ += n;
     return s;
   }
-  bool exhausted() const { return pos_ == data_.size(); }
+  std::size_t remaining() const { return data_.size() - pos_; }
+  void skip(std::size_t n) { need(n); pos_ += n; }
 
  private:
   void need(std::size_t n) const {
@@ -294,30 +293,32 @@ struct CampaignCheckpoint {
 /// built outside git). Checkpoints from a different build are not trusted.
 std::string checkpoint_build_tag();
 
-/// Serialize to the LORECKP1 wire format (magic, version, identity, build
-/// tag, trial count, entries, trailing CRC-32) — the exact bytes
-/// `write_checkpoint` puts on disk, reused by the campaign fabric as the
-/// shard hand-off payload (DESIGN.md §12).
+/// Serialize to one LORECKP1 frame (magic, version, identity, build tag,
+/// trial count, entries, trailing CRC-32) — the unit a checkpoint file is a
+/// sequence of, reused by the campaign fabric as the shard hand-off payload
+/// (DESIGN.md §12).
 std::string encode_checkpoint(const CampaignCheckpoint& ck);
 
-/// Parse + validate LORECKP1 bytes against `spec`: magic, version, CRC,
-/// identity hash, trial count, build tag, entry ranges. Any problem warns on
-/// stderr — naming `source` (a file path or "shard 3 from worker-1") and,
-/// for identity/build-tag mismatches, both the expected and found values so
-/// a mis-routed payload is diagnosable — and returns nullopt.
+/// Parse + validate one LORECKP1 frame against `spec`: magic, version, CRC,
+/// identity hash, trial count, build tag, entry count and ranges. Any problem
+/// warns on stderr — naming `source` (a file path or "shard 3 from worker-1")
+/// and, for identity/build-tag mismatches, both the expected and found values
+/// so a mis-routed payload is diagnosable — and returns nullopt. The entry
+/// count is checked against the bytes left before anything is reserved.
 std::optional<CampaignCheckpoint> decode_checkpoint(std::string_view bytes,
                                                     const CampaignSpec& spec,
                                                     std::string_view source);
 
-/// Serialize + CRC-guard + atomically rename into place (write to
-/// `path.tmp`, fsync-free rename). Returns false on I/O failure or when
+/// Replace `path` with `ck` as a single frame: write `path.tmp`, then rename
+/// it into place (no fsync). Returns false on I/O failure or when
 /// checkpointing is compiled out.
 bool write_checkpoint(const std::string& path, const CampaignCheckpoint& ck);
 
-/// Load `path` and validate magic, version, CRC, identity hash, trial count,
-/// and build tag against `spec`. Any problem — missing file aside — warns on
-/// stderr with the reason and returns nullopt, so a corrupted/truncated/stale
-/// checkpoint degrades to a fresh run instead of poisoning it.
+/// Load `path`: validate each frame as `decode_checkpoint` does and merge
+/// their entries (first entry per trial wins). A torn or invalid *last* frame
+/// is dropped with a warning; an invalid frame before the end, or no valid
+/// frame, warns and returns nullopt (a missing file returns it silently), so
+/// a damaged or stale checkpoint degrades to a fresh run.
 std::optional<CampaignCheckpoint> load_checkpoint(const std::string& path,
                                                   const CampaignSpec& spec);
 
@@ -389,82 +390,14 @@ CampaignResult<Record> result_from_checkpoint(const CampaignSpec& spec,
 }
 
 // ---------------------------------------------------------------------------
-// Engine
+// The chunk engine — DESIGN.md §9, §11.
 
-namespace campaign_detail {
-
-/// Type-erased core: trial bodies return their record pre-serialized, so the
-/// whole checkpoint/deadline/retry machinery lives in one non-template
-/// translation unit.
-using RawTrialFn = std::function<std::string(std::size_t, Rng&, const CancelToken&)>;
-
-struct RawResult {
-  std::vector<std::string> payloads;
-  std::vector<TrialStatus> status;
-  CampaignReport report;
-};
-
-RawResult run_campaign_raw(const CampaignSpec& spec, const RawTrialFn& trial);
-
-/// Worker half of the fabric hand-off: run trials [range.begin, range.end)
-/// of `spec` — each seeded `trial_seed(spec.base_seed, global_index)`, the
-/// same contract as run_campaign — and return their encoded payloads as a
-/// LORECKP1-ready checkpoint (identity + build tag filled in, one entry per
-/// trial in index order). Failed trials retry up to spec.max_retries times
-/// with backoff; a trial that still fails propagates its exception, failing
-/// the shard as a unit (the coordinator re-dispatches it).
-CampaignCheckpoint run_campaign_shard_raw(const CampaignSpec& spec, TrialRange range,
-                                          const RawTrialFn& trial);
-
-}  // namespace campaign_detail
-
-/// Typed wrapper over `run_campaign_shard_raw`: encode each record of the
-/// sub-range through `Codec`, exactly as run_campaign's checkpoint writer
-/// would.
-template <typename Record, typename Codec = PodCodec<Record>, typename TrialFn>
-CampaignCheckpoint run_campaign_shard(const CampaignSpec& spec, TrialRange range,
-                                      TrialFn&& trial) {
-  return campaign_detail::run_campaign_shard_raw(
-      spec, range, [&](std::size_t i, Rng& rng, const CancelToken& cancel) {
-        ByteWriter w;
-        Codec::encode(w, trial(i, rng, cancel));
-        return std::move(w).take();
-      });
-}
-
-/// Run a campaign under `spec`. `trial(i, rng, cancel)` computes the record of
-/// trial `i` from an rng seeded with `trial_seed(spec.base_seed, i)` — the
-/// identical contract to `parallel_for_trials`, so results are bit-identical
-/// for every thread count, across interrupt/resume, and across retries.
-template <typename Record, typename Codec = PodCodec<Record>>
-CampaignResult<Record> run_campaign(
-    const CampaignSpec& spec,
-    const std::function<Record(std::size_t, Rng&, const CancelToken&)>& trial) {
-  const auto raw = campaign_detail::run_campaign_raw(
-      spec, [&](std::size_t i, Rng& rng, const CancelToken& cancel) {
-        ByteWriter w;
-        Codec::encode(w, trial(i, rng, cancel));
-        return std::move(w).take();
-      });
-  CampaignResult<Record> out;
-  out.records.resize(spec.trials);
-  for (std::size_t i = 0; i < spec.trials; ++i) {
-    if (raw.status[i] != TrialStatus::kOk) continue;
-    ByteReader r(raw.payloads[i]);
-    out.records[i] = Codec::decode(r);
-  }
-  out.status = raw.status;
-  out.report = raw.report;
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Batched (allocation-free) campaign execution — DESIGN.md §11.
-
-/// Runtime switch for the batched fast path (initialized from the
-/// environment: LORE_SIMD_SCALAR=1 starts it off, forcing the legacy
-/// per-trial reference path everywhere). The differential suite toggles this
-/// to prove batched == reference bit-identically.
+/// Process-wide choice of trial *body* at the architectural call sites
+/// (`FaultInjector`, `pipeline_campaign_*`): on (the default) they run the
+/// batched snapshot-restore bodies, off (LORE_SIMD_SCALAR=1 at start-up, or
+/// `set_campaign_batch_enabled(false)`) the per-trial reference `inject()`
+/// bodies — the arbiter the differential suites compare against. The engine
+/// itself is the same either way.
 bool campaign_batch_enabled();
 void set_campaign_batch_enabled(bool on);
 
@@ -472,23 +405,14 @@ void set_campaign_batch_enabled(bool on);
 /// variable > 256. Always >= 1.
 std::size_t resolve_trial_chunk(std::size_t requested);
 
-/// True when `spec` carries no resilience policy that requires the
-/// serializing reference engine: no checkpointing, no per-trial deadline, no
-/// overall budget, no per-run trial cap. Such "plain" specs are eligible for
-/// the batched fast path.
+/// True when `spec` carries no resilience policy: no checkpointing, no
+/// per-trial deadline, no overall budget, no per-run trial cap. Only plain
+/// specs run the predict-and-prune stage.
 bool plain_campaign_spec(const CampaignSpec& spec);
 
-/// True when `run_campaign_batched` would take the fast path for `spec`.
-inline bool campaign_uses_batch(const CampaignSpec& spec) {
-  return campaign_batch_enabled() && plain_campaign_spec(spec);
-}
-
 struct BatchOptions {
-  /// Trials per chunk (0 = resolve_trial_chunk default).
+  /// Trials per chunk (0 = resolve_trial_chunk); capped at checkpoint_every.
   std::size_t chunk = 0;
-  /// Force the serializing reference engine regardless of spec/switch — the
-  /// differential test hook.
-  bool force_reference = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -558,9 +482,9 @@ class PruneController {
   std::atomic<bool> tripped_{false};
 };
 
-/// Prune-stage hooks for `run_campaign_pruned`. With no `predict` hook the
-/// engine degenerates to `run_campaign_batched` exactly. `predict` scores one
-/// chunk's trials — `benign[i - begin] = 1` marks trial i predicted-benign —
+/// Prune-stage hooks for `run_campaign_pruned`. With no `predict` hook every
+/// trial runs, as in `run_campaign_batched`. `predict` scores one chunk's
+/// trials — `benign[i - begin] = 1` marks trial i predicted-benign —
 /// from whatever descriptor the domain derives from the trial seed (the seed
 /// span holds `trial_seed(spec.base_seed, i)` for the chunk, the same seeds
 /// the trial bodies will draw). `is_benign` maps an executed Record to ground
@@ -584,198 +508,298 @@ struct PruneHooks {
   PruneController* controller = nullptr;
 };
 
-/// Batched campaign executor with an optional predict-and-prune stage. Same
-/// record/status/report contract and the same per-trial semantics as
-/// `run_campaign` — an *executed* trial `i` always computes from a fresh Rng
-/// seeded with `trial_seed(spec.base_seed, i)`, failed trials retry up to
-/// `spec.max_retries` times with backoff, and executed results are
-/// bit-identical for every thread count AND to the reference engine. What
-/// changes is the execution shape: plain specs (see `plain_campaign_spec`)
-/// run in chunks of trials claimed by `parallel_for_chunks`, per-chunk seed
-/// buffers come from the thread-local Arena and the batched seed kernel, and
-/// records are written straight into their slots — no per-trial
-/// encode/decode round trip, no per-trial heap traffic, no per-trial ring
-/// events (progress counters are maintained per chunk; the Aggregator's
-/// trials/s rates derive from counter deltas and keep working).
-///
-/// The prune stage (DESIGN.md §13) runs when `hooks.predict` is set: each
-/// chunk is scored before execution, predicted-benign trials are skipped
-/// with `TrialStatus::kPruned` (value-initialized record), except for a
-/// seeded audit fraction that executes anyway so the live false-benign rate
-/// stays measurable. Which trials are pruned is a pure function of
-/// (predictions, audit_seed) — never of thread or chunk boundaries — so
-/// `audit_fraction = 1.0` reproduces prune=off outcomes bit-identically at
-/// any thread count. A tripped PruneController stops pruning on chunks that
-/// score after the trip; trials already marked kPruned stay pruned.
-///
-/// Non-plain specs and `force_reference` fall back to `run_campaign`
-/// wholesale (checkpoint/resume, deadlines, and budgets keep their exact
-/// semantics) — the reference engine never prunes, so hooks are ignored on
-/// that path and every trial executes.
-template <typename Record, typename Codec = PodCodec<Record>, typename TrialFn>
-CampaignResult<Record> run_campaign_pruned(const CampaignSpec& spec, TrialFn&& trial,
-                                           const PruneHooks<Record>& hooks,
-                                           const BatchOptions& opt = {}) {
-  if (opt.force_reference || !campaign_batch_enabled() || !plain_campaign_spec(spec)) {
-    return run_campaign<Record, Codec>(
-        spec, std::function<Record(std::size_t, Rng&, const CancelToken&)>(
-                  std::forward<TrialFn>(trial)));
+namespace campaign_detail {
+
+/// The non-template half of the chunk engine: one invocation's resilience
+/// policy, tallies, metric handles (resolved once, never looked up per
+/// trial) and checkpoint log. `run_window` drives it from the typed loop.
+class ChunkEngine {
+ public:
+  using Clock = CancelToken::Clock;
+
+  /// `window_trials` trials are in play; `controller` is the prune breaker.
+  ChunkEngine(const CampaignSpec& spec, std::size_t window_trials, std::size_t chunk,
+              bool pruning, PruneController* controller);
+
+  std::size_t chunk() const { return chunk_; }
+  bool checkpointing() const { return checkpointing_; }
+  /// The checkpoint on disk, when checkpointing and it validates.
+  std::optional<CampaignCheckpoint> load() const {
+    if (!checkpointing_) return std::nullopt;
+    return load_checkpoint(spec_.checkpoint_path, spec_);
   }
-  const std::size_t n = spec.trials;
+  /// Begin with `resumed` trials done. When work is left, `resumed_entries`
+  /// replace the file as its first frame — a stale, foreign or torn file is
+  /// never appended to.
+  void start(std::vector<CheckpointEntry> resumed_entries, std::size_t resumed, bool loaded,
+             bool work_left);
+
+  /// Only for a spec with an overall budget / a per-trial deadline.
+  bool out_of_budget() const { return Clock::now() - t_start_ >= spec_.overall_budget; }
+  CancelToken token() const {
+    return CancelToken::with_deadline(Clock::now() + spec_.trial_deadline);
+  }
+  /// Count, announce and back off before retry `attempt` of `trial`.
+  void before_retry(std::size_t trial, unsigned attempt);
+  /// Count and announce a failed attempt; `what` = nullptr for a timeout.
+  void attempt_failed(std::size_t trial, unsigned attempt, const char* what);
+  /// Per-chunk tallies; `first` is the chunk's first trial index.
+  void chunk_done(std::size_t first, std::size_t ok, std::size_t pruned,
+                  std::size_t audits, std::size_t false_benign);
+  /// Append one frame holding a finished chunk's completed entries.
+  void append(std::vector<CheckpointEntry> entries);
+  /// Fill `report` from the final statuses and the tallies.
+  void finish(CampaignReport& report, std::span<const TrialStatus> status);
+
+ private:
+  CampaignCheckpoint frame(std::vector<CheckpointEntry> entries) const;
+
+  const CampaignSpec& spec_;
+  const std::size_t window_trials_;
+  std::size_t chunk_;
+  bool checkpointing_;
+  const bool pruning_;
+  PruneController* const controller_;
+  const Clock::time_point t_start_;
+  std::size_t resumed_ = 0;
+  bool loaded_ = false;
+  std::atomic<std::size_t> fresh_{0}, retries_{0}, timeout_attempts_{0}, suppressed_{0};
+  std::atomic<std::size_t> audits_{0}, false_benign_{0}, checkpoints_written_{0};
+  std::mutex io_mu_;   // serializes frame appends
+  std::mutex err_mu_;  // guards first_error_
+  std::string first_error_;
+  obs::Counter *completed_ = nullptr, *retried_ = nullptr, *timed_out_ = nullptr,
+               *failed_ = nullptr, *checkpoints_ = nullptr, *pruned_ = nullptr,
+               *audited_ = nullptr, *false_benign_counter_ = nullptr;
+  obs::Gauge *progress_ = nullptr, *eta_ = nullptr;
+  obs::Histogram* write_us_ = nullptr;
+};
+
+/// Run trials [window.begin, window.end) of `spec`; slot k of the result is
+/// trial window.begin + k. Every public entry point is a view of this loop.
+/// With `encoded` (sized to the window), each chunk also encodes its
+/// completed records into their slots there, in parallel.
+template <typename Record, typename Codec, typename TrialFn>
+CampaignResult<Record> run_window(const CampaignSpec& spec, TrialRange window,
+                                  TrialFn& trial, const PruneHooks<Record>& hooks,
+                                  std::size_t chunk_request,
+                                  std::vector<CheckpointEntry>* encoded = nullptr) {
+  const std::size_t n = window.size();
   CampaignResult<Record> out;
   out.records.resize(n);
   out.status.assign(n, TrialStatus::kSkipped);
   out.report.trials = n;
-  if (n == 0) return out;
 
-  std::atomic<std::size_t> retries{0}, suppressed{0};
-  std::atomic<std::size_t> audits{0}, false_benign{0};
-  std::mutex err_mu;
-  std::string first_error;
-  const std::size_t chunk = resolve_trial_chunk(opt.chunk);
-  const bool pruning = static_cast<bool>(hooks.predict);
+  const bool pruning = static_cast<bool>(hooks.predict) && plain_campaign_spec(spec);
+  ChunkEngine engine(spec, n, resolve_trial_chunk(chunk_request), pruning,
+                     hooks.controller);
+
+  // Resume: decode every checkpointed record of the window into its slot.
+  // The frames passed CRC and identity checks, so a record that does not
+  // decode is a codec mismatch: its CheckpointError propagates.
+  std::optional<CampaignCheckpoint> ck = engine.load();
+  std::size_t resumed = 0;
+  if (ck) {
+    for (const CheckpointEntry& e : ck->entries) {
+      if (e.trial < window.begin || e.trial >= window.end) continue;
+      const std::size_t k = static_cast<std::size_t>(e.trial) - window.begin;
+      ByteReader r(e.payload);
+      out.records[k] = Codec::decode(r);
+      out.status[k] = TrialStatus::kOk;
+      ++resumed;
+    }
+  }
+
+  // The slots to run: [0, todo) while nothing was resumed, else the missing
+  // slots in index order; either way truncated to the per-run cap.
+  std::vector<std::size_t> sparse;
+  std::size_t todo = n;
+  if (resumed > 0) {
+    sparse.reserve(n - resumed);
+    for (std::size_t k = 0; k < n; ++k)
+      if (out.status[k] != TrialStatus::kOk) sparse.push_back(k);
+    todo = sparse.size();
+  }
+  if (spec.max_trials_per_run && todo > spec.max_trials_per_run) {
+    todo = spec.max_trials_per_run;
+    if (!sparse.empty()) sparse.resize(todo);
+  }
+  engine.start(ck ? std::move(ck->entries) : std::vector<CheckpointEntry>{}, resumed,
+               ck.has_value(), todo > 0);
+
   const double audit_fraction = pruning ? resolve_prune_audit(hooks.audit_fraction) : 0.0;
   // Decorrelate the audit subsample from the trial seed stream by default.
   const std::uint64_t audit_seed =
       hooks.audit_seed != 0 ? hooks.audit_seed : spec.base_seed ^ 0x9e3779b97f4a7c15ULL;
 
-  obs::Counter* completed_counter = nullptr;
-  obs::Counter* pruned_counter = nullptr;
-  obs::Counter* audit_counter = nullptr;
-  obs::Counter* false_benign_counter = nullptr;
-  obs::Gauge* progress_gauge = nullptr;
-  std::atomic<std::size_t> completed_so_far{0};
-  if (obs::kCompiledIn && obs::enabled()) {
-    auto& registry = obs::MetricsRegistry::global();
-    completed_counter = &registry.counter("campaign.trials_completed");
-    progress_gauge = &registry.gauge("campaign.progress");
-    if (pruning) {
-      pruned_counter = &registry.counter("campaign.trials_pruned");
-      audit_counter = &registry.counter("campaign.prune_audits");
-      false_benign_counter = &registry.counter("campaign.prune_false_benign");
-    }
-  }
-
   // Chunk spans nest under the caller's ambient span (a fabric shard span, a
   // scenario stage, ...), so a fleet trace shows each worker's chunk-level
-  // progress; the scope also stamps chunk events for the flight recorder.
+  // progress; the scope also stamps events for the flight recorder.
   const obs::TraceContext trace_ctx = obs::current_trace_context();
-  parallel_for_chunks(n, spec.threads, chunk, [&](std::size_t begin, std::size_t end) {
-    obs::TraceContextScope trace_scope(trace_ctx);
-    LORE_OBS_SPAN(chunk_span, "campaign.chunk");
-    Arena& arena = Arena::for_thread();
-    ArenaScope epoch(arena);
-    const auto seeds = arena.alloc<std::uint64_t>(end - begin);
-    kernels::fill_trial_seeds(seeds, spec.base_seed, begin);
-    // Re-evaluated per chunk so a controller trip stops pruning on every
-    // chunk scored after it.
-    const bool prune_chunk =
-        pruning && (hooks.controller == nullptr || hooks.controller->enabled());
-    std::span<std::uint8_t> benign;
-    if (prune_chunk) {
-      benign = arena.alloc<std::uint8_t>(end - begin, /*zeroed=*/true);
-      hooks.predict(begin, end, std::span<const std::uint64_t>(seeds), benign);
-    }
-    const CancelToken cancel;  // plain specs have no deadline
-    std::size_t chunk_ok = 0, chunk_retries = 0, chunk_suppressed = 0;
-    std::size_t chunk_pruned = 0, chunk_audits = 0, chunk_false_benign = 0;
-    for (std::size_t i = begin; i < end; ++i) {
-      const bool predicted_benign = prune_chunk && benign[i - begin] != 0;
-      const bool audited =
-          predicted_benign && prune_audit_selected(audit_seed, i, audit_fraction);
-      if (predicted_benign && !audited) {
-        out.status[i] = TrialStatus::kPruned;
-        out.records[i] = Record{};
-        ++chunk_pruned;
-        continue;
+  if (todo > 0)
+    parallel_for_chunks(todo, spec.threads, engine.chunk(), [&](std::size_t jb,
+                                                               std::size_t je) {
+      obs::TraceContextScope trace_scope(trace_ctx);
+      LORE_OBS_SPAN(chunk_span, "campaign.chunk");
+      // Hot-loop state in locals, not re-read through captured references.
+      const std::size_t* const missing = sparse.empty() ? nullptr : sparse.data();
+      const auto slot = [missing](std::size_t j) { return missing ? missing[j] : j; };
+      const bool budgeted = spec.overall_budget.count() > 0;
+      const bool deadline = spec.trial_deadline.count() > 0;
+      Arena& arena = Arena::for_thread();
+      ArenaScope epoch(arena);
+      const auto seeds = arena.alloc<std::uint64_t>(je - jb);
+      if (missing == nullptr)
+        kernels::fill_trial_seeds(seeds, spec.base_seed, window.begin + jb);
+      else
+        for (std::size_t j = jb; j < je; ++j)
+          seeds[j - jb] = trial_seed(spec.base_seed, window.begin + missing[j]);
+      // Re-evaluated per chunk so a controller trip stops pruning on every
+      // chunk scored after it. Pruning implies a plain spec, so slots are
+      // dense here.
+      const bool prune_chunk =
+          pruning && (hooks.controller == nullptr || hooks.controller->enabled());
+      std::span<std::uint8_t> benign;
+      if (prune_chunk) {
+        benign = arena.alloc<std::uint8_t>(je - jb, /*zeroed=*/true);
+        hooks.predict(window.begin + jb, window.begin + je,
+                      std::span<const std::uint64_t>(seeds), benign);
       }
-      for (unsigned attempt = 0; attempt <= spec.max_retries; ++attempt) {
-        if (attempt > 0) {
-          ++chunk_retries;
-          std::this_thread::sleep_for(spec.retry_backoff * (1u << (attempt - 1)));
+      const bool events = obs::kCompiledIn && obs::event_stream_enabled();
+      std::size_t ok = 0, pruned = 0, audits = 0, false_benign = 0;
+      for (std::size_t j = jb; j < je; ++j) {
+        const std::size_t k = slot(j);
+        const std::size_t i = window.begin + k;
+        const bool predicted_benign = prune_chunk && benign[j - jb] != 0;
+        const bool audited =
+            predicted_benign && prune_audit_selected(audit_seed, i, audit_fraction);
+        if (predicted_benign && !audited) {
+          out.status[k] = TrialStatus::kPruned;
+          ++pruned;
+          continue;
         }
-        try {
-          // Fresh stream per attempt — identical to the reference engine.
-          Rng rng(seeds[i - begin]);
-          out.records[i] = trial(i, rng, cancel);
-          out.status[i] = TrialStatus::kOk;
-          ++chunk_ok;
-          break;
-        } catch (const std::exception& e) {
-          ++chunk_suppressed;
-          out.status[i] = TrialStatus::kFailed;
-          std::lock_guard lock(err_mu);
-          if (first_error.empty()) first_error = e.what();
-        } catch (...) {
-          ++chunk_suppressed;
-          out.status[i] = TrialStatus::kFailed;
-          std::lock_guard lock(err_mu);
-          if (first_error.empty()) first_error = "unknown trial exception";
+        if (budgeted && engine.out_of_budget()) continue;  // stays kSkipped for a resume
+        TrialStatus status = TrialStatus::kFailed;
+        for (unsigned attempt = 0; attempt <= spec.max_retries; ++attempt) {
+          if (attempt > 0) engine.before_retry(i, attempt);
+          const CancelToken cancel = deadline ? engine.token() : CancelToken();
+          const double t0 = events ? obs::TraceRecorder::now_us() : 0.0;
+          try {
+            // A fresh stream per attempt: a retried trial replays the exact
+            // stream of its first attempt.
+            Rng rng(seeds[j - jb]);
+            out.records[k] = trial(i, rng, cancel);
+            status = TrialStatus::kOk;
+            if (events)
+              LORE_OBS_EVENT(obs::EventKind::kTrialCompleted, i,
+                             obs::TraceRecorder::now_us() - t0);
+            break;
+          } catch (const TrialTimeout&) {
+            status = TrialStatus::kTimeout;
+            engine.attempt_failed(i, attempt, nullptr);
+          } catch (const std::exception& e) {
+            status = TrialStatus::kFailed;
+            engine.attempt_failed(i, attempt, e.what());
+          } catch (...) {
+            status = TrialStatus::kFailed;
+            engine.attempt_failed(i, attempt, "unknown trial exception");
+          }
         }
+        out.status[k] = status;
+        if (status != TrialStatus::kOk) continue;  // its record stays value-initialized
+        ++ok;
+        if (audited) {
+          const bool truth = hooks.is_benign ? hooks.is_benign(out.records[k]) : true;
+          ++audits;
+          if (!truth) ++false_benign;
+          if (hooks.controller) hooks.controller->record_audit(truth);
+        }
+        if (hooks.on_executed) hooks.on_executed(i, out.records[k], predicted_benign, audited);
       }
-      if (out.status[i] != TrialStatus::kOk) {
-        out.records[i] = Record{};
-        continue;
+      engine.chunk_done(window.begin + slot(jb), ok, pruned, audits, false_benign);
+      if (ok > 0 && (engine.checkpointing() || encoded != nullptr)) {
+        std::vector<CheckpointEntry> entries;
+        if (encoded == nullptr) entries.reserve(ok);
+        for (std::size_t j = jb; j < je; ++j) {
+          const std::size_t k = slot(j);
+          if (out.status[k] != TrialStatus::kOk) continue;
+          ByteWriter w;
+          Codec::encode(w, out.records[k]);
+          CheckpointEntry e{window.begin + k, std::move(w).take()};
+          if (encoded) (*encoded)[k] = std::move(e);
+          else entries.push_back(std::move(e));
+        }
+        if (encoded == nullptr) engine.append(std::move(entries));
       }
-      if (audited) {
-        const bool truth = hooks.is_benign ? hooks.is_benign(out.records[i]) : true;
-        ++chunk_audits;
-        if (!truth) ++chunk_false_benign;
-        if (hooks.controller) hooks.controller->record_audit(truth);
-      }
-      if (hooks.on_executed)
-        hooks.on_executed(i, out.records[i], predicted_benign, audited);
-    }
-    if (chunk_retries) retries.fetch_add(chunk_retries, std::memory_order_relaxed);
-    if (chunk_suppressed)
-      suppressed.fetch_add(chunk_suppressed, std::memory_order_relaxed);
-    if (chunk_pruned && hooks.controller) hooks.controller->record_pruned(chunk_pruned);
-    // Prune decisions as structured events (not just a counter): a = trials
-    // pruned in this chunk, value = first trial index of the chunk — enough
-    // for intervals, traces, and the post-mortem toolkit to reconstruct
-    // which ranges were skipped and under which span.
-    if (chunk_pruned)
-      LORE_OBS_EVENT(obs::EventKind::kTrialsPruned, chunk_pruned,
-                     static_cast<double>(begin));
-    if (chunk_audits) audits.fetch_add(chunk_audits, std::memory_order_relaxed);
-    if (chunk_false_benign)
-      false_benign.fetch_add(chunk_false_benign, std::memory_order_relaxed);
-    if (pruned_counter && chunk_pruned) pruned_counter->add(chunk_pruned);
-    if (audit_counter && chunk_audits) audit_counter->add(chunk_audits);
-    if (false_benign_counter && chunk_false_benign)
-      false_benign_counter->add(chunk_false_benign);
-    if (completed_counter && chunk_ok) {
-      completed_counter->add(chunk_ok);
-      const auto done =
-          completed_so_far.fetch_add(chunk_ok, std::memory_order_relaxed) + chunk_ok;
-      progress_gauge->set(static_cast<double>(done) / static_cast<double>(n));
-    }
-  });
+    });
 
-  const auto status_bytes = std::span<const std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(out.status.data()), n);
-  out.report.completed =
-      kernels::count_equal_u8(status_bytes, static_cast<std::uint8_t>(TrialStatus::kOk));
-  out.report.failed = kernels::count_equal_u8(
-      status_bytes, static_cast<std::uint8_t>(TrialStatus::kFailed));
-  out.report.pruned = kernels::count_equal_u8(
-      status_bytes, static_cast<std::uint8_t>(TrialStatus::kPruned));
-  out.report.prune_audits = audits.load(std::memory_order_relaxed);
-  out.report.prune_false_benign = false_benign.load(std::memory_order_relaxed);
-  out.report.prune_disabled =
-      pruning && hooks.controller != nullptr && hooks.controller->tripped();
-  out.report.retries = retries.load(std::memory_order_relaxed);
-  out.report.suppressed_exceptions = suppressed.load(std::memory_order_relaxed);
-  out.report.first_error = std::move(first_error);
+  engine.finish(out.report, out.status);
   return out;
 }
 
-/// `run_campaign_pruned` with no prune stage — the PR 6 batched fast path.
+}  // namespace campaign_detail
+
+/// Run a campaign under `spec` with an optional predict-and-prune stage.
+/// `trial(i, rng, cancel)` computes the record of trial `i` from a fresh Rng
+/// seeded with `trial_seed(spec.base_seed, i)` — on every attempt — so
+/// records are bit-identical for every thread count, chunk size and resume
+/// point.
+///
+/// The prune stage (DESIGN.md §13) runs when `hooks.predict` is set and the
+/// spec is plain (`plain_campaign_spec`): each chunk is scored before
+/// execution, and predicted-benign trials are skipped as `kPruned`
+/// (value-initialized record) except for a seeded audit fraction. Which
+/// trials are pruned is a pure function of (predictions, audit_seed), so
+/// `audit_fraction = 1.0` reproduces prune=off outcomes bit-identically at
+/// any thread count. A tripped PruneController stops pruning on chunks that
+/// score after the trip.
+template <typename Record, typename Codec = PodCodec<Record>, typename TrialFn>
+CampaignResult<Record> run_campaign_pruned(const CampaignSpec& spec, TrialFn&& trial,
+                                           const PruneHooks<Record>& hooks,
+                                           const BatchOptions& opt = {}) {
+  return campaign_detail::run_window<Record, Codec>(spec, TrialRange{0, spec.trials}, trial,
+                                                    hooks, opt.chunk);
+}
+
+/// `run_campaign_pruned` with no prune stage.
 template <typename Record, typename Codec = PodCodec<Record>, typename TrialFn>
 CampaignResult<Record> run_campaign_batched(const CampaignSpec& spec, TrialFn&& trial,
                                             const BatchOptions& opt = {}) {
-  return run_campaign_pruned<Record, Codec>(spec, std::forward<TrialFn>(trial),
-                                            PruneHooks<Record>{}, opt);
+  return run_campaign_pruned<Record, Codec>(spec, trial, PruneHooks<Record>{}, opt);
+}
+
+/// Run a campaign under `spec` with the default chunk size — the same engine
+/// and contract as `run_campaign_pruned`.
+template <typename Record, typename Codec = PodCodec<Record>, typename TrialFn>
+CampaignResult<Record> run_campaign(const CampaignSpec& spec, TrialFn&& trial) {
+  return run_campaign_pruned<Record, Codec>(spec, trial, PruneHooks<Record>{});
+}
+
+/// Worker half of the fabric hand-off: run trials [range.begin, range.end) of
+/// `spec` on the chunk engine — each seeded `trial_seed(spec.base_seed,
+/// global_index)`, the same contract as run_campaign — and return their
+/// records encoded through `Codec` as a LORECKP1-ready checkpoint (identity +
+/// build tag filled in, one entry per trial in index order). The spec's
+/// resilience policy is ignored: the coordinator owns checkpoints, deadlines
+/// and budgets (DESIGN.md §12). Failed trials retry up to spec.max_retries
+/// times with backoff; if one still fails the shard throws as a unit (the
+/// coordinator re-dispatches it).
+template <typename Record, typename Codec = PodCodec<Record>, typename TrialFn>
+CampaignCheckpoint run_campaign_shard(const CampaignSpec& spec, TrialRange range,
+                                      TrialFn&& trial) {
+  CampaignCheckpoint ck{spec.identity_hash(), checkpoint_build_tag(), spec.trials, {}};
+  if (range.end > spec.trials) range.end = spec.trials;
+  if (range.begin >= range.end) return ck;
+  CampaignSpec plain = spec;
+  plain.checkpoint_path.clear();
+  plain.trial_deadline = plain.overall_budget = {};
+  plain.max_trials_per_run = 0;
+  ck.entries.resize(range.size());
+  const auto result = campaign_detail::run_window<Record, Codec>(
+      plain, range, trial, PruneHooks<Record>{}, 0, &ck.entries);
+  if (!result.report.complete())
+    throw std::runtime_error("shard trial failed: " + result.report.first_error);
+  return ck;
 }
 
 }  // namespace lore

@@ -81,9 +81,11 @@ void Coordinator::accept_loop() {
       return;
     }
     std::string host = peer_address(fd);
+    auto send_mu = std::make_shared<std::mutex>();
     std::lock_guard<std::mutex> lock(mu_);
-    conn_fds_.push_back(fd);
-    handlers_.emplace_back(&Coordinator::handle_connection, this, fd, std::move(host));
+    conns_.push_back({fd, send_mu});
+    handlers_.emplace_back(&Coordinator::handle_connection, this, fd, std::move(host),
+                           std::move(send_mu));
   }
 }
 
@@ -119,7 +121,8 @@ obs::Json Coordinator::next_directive_locked(std::optional<std::size_t>& held_sh
   return head;
 }
 
-void Coordinator::handle_connection(int fd, std::string peer_host) {
+void Coordinator::handle_connection(int fd, std::string peer_host,
+                                    std::shared_ptr<std::mutex> send_mu) {
   std::optional<std::size_t> held_shard;
   std::size_t worker_index = static_cast<std::size_t>(-1);
 
@@ -187,6 +190,7 @@ void Coordinator::handle_connection(int fd, std::string peer_host) {
       reply.head = next_directive_locked(held_shard);
       publish_gauges_locked();
     }
+    std::lock_guard<std::mutex> send_lock(*send_mu);
     if (!send_frame(fd, reply)) break;
   }
 
@@ -201,7 +205,7 @@ void Coordinator::handle_connection(int fd, std::string peer_host) {
   if (worker_index < workers_.size()) workers_[worker_index].alive = false;
   publish_gauges_locked();
   obs::close_fd(fd);
-  std::erase(conn_fds_, fd);
+  std::erase_if(conns_, [fd](const Connection& c) { return c.fd == fd; });
 }
 
 void Coordinator::stitch_spans_locked(const obs::Json& head, std::size_t worker_index) {
@@ -360,15 +364,21 @@ bool Coordinator::wait(std::chrono::milliseconds timeout) {
 
 CampaignCheckpoint Coordinator::finish() {
   stopping_.store(true);
-  // Closing the listener unblocks accept_retry; shutting down each live
-  // connection unblocks its handler's recv_frame.
+  // Closing the listener unblocks accept_retry. Each live worker is told
+  // `shutdown` before its socket is shut down — a worker parked on `wait`
+  // would otherwise find the connection gone and exit with an error — and
+  // the socket shutdown unblocks the handler's recv_frame.
   if (const int lfd = listen_fd_.exchange(-1); lfd >= 0) {
     ::shutdown(lfd, SHUT_RDWR);
     obs::close_fd(lfd);
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
+    for (const Connection& c : conns_) {
+      std::lock_guard<std::mutex> send_lock(*c.send_mu);
+      send_frame(c.fd, make_frame("shutdown"));
+      ::shutdown(c.fd, SHUT_RDWR);
+    }
   }
   if (accept_thread_.joinable()) accept_thread_.join();
   if (scrape_thread_.joinable()) scrape_thread_.join();

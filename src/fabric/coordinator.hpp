@@ -19,6 +19,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -140,7 +141,8 @@ class Coordinator {
   };
 
   void accept_loop();
-  void handle_connection(int fd, std::string peer_host);
+  void handle_connection(int fd, std::string peer_host,
+                         std::shared_ptr<std::mutex> send_mu);
   void scrape_loop();
   /// One directive for a worker that just spoke (lock must be held).
   obs::Json next_directive_locked(std::optional<std::size_t>& held_shard);
@@ -163,7 +165,13 @@ class Coordinator {
   CampaignCheckpoint merged_;
   std::vector<std::uint8_t> seen_;
   std::vector<WorkerInfo> workers_;
-  std::vector<int> conn_fds_;
+  /// Live worker connections. `send_mu` serializes the handler's replies
+  /// with finish()'s closing `shutdown` on the same socket.
+  struct Connection {
+    int fd;
+    std::shared_ptr<std::mutex> send_mu;
+  };
+  std::vector<Connection> conns_;
   std::size_t trials_done_ = 0;
   std::size_t payload_rejects_ = 0;
   std::size_t duplicates_discarded_ = 0;

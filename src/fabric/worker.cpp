@@ -58,6 +58,13 @@ struct ClockOffset {
   }
 };
 
+/// A finishing coordinator sends `shutdown` and closes, so a send can fail
+/// with that directive already queued: still a clean exit.
+bool shutdown_queued(int fd) {
+  const std::optional<Frame> directive = recv_frame(fd);
+  return directive && directive->type() == "shutdown";
+}
+
 }  // namespace
 
 int run_worker(const WorkerConfig& cfg) {
@@ -116,7 +123,7 @@ int run_worker(const WorkerConfig& cfg) {
       std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
       t_send = obs::TraceRecorder::now_us();
       if (!send_frame(fd, make_frame("ready"))) {
-        rc = 1;
+        rc = shutdown_queued(fd) ? 0 : 1;
         break;
       }
       continue;
@@ -194,7 +201,7 @@ int run_worker(const WorkerConfig& cfg) {
     }
     t_send = obs::TraceRecorder::now_us();
     if (!send_frame(fd, reply)) {
-      rc = 1;
+      rc = shutdown_queued(fd) ? 0 : 1;
       break;
     }
   }

@@ -131,7 +131,7 @@ TEST(PrunedFaultCampaign, NonPlainSpecFallsBackToFullExecution) {
   const FaultInjector injector(w);
   ml::Predictor predictor(quick_config());
   auto spec = plain_spec(100, 1);
-  spec.max_trials_per_run = 100;  // non-plain: reference engine, never prunes
+  spec.max_trials_per_run = 100;  // non-plain: runs as campaign_run, never prunes
   const auto result =
       injector.campaign_run_pruned(spec, FaultTarget::kRegister, predictor);
   EXPECT_EQ(result.report.pruned, 0u);

@@ -1,11 +1,14 @@
-// Contract tests for `run_campaign_batched` (DESIGN.md §11): record/status/
-// report equivalence with the reference engine across chunk sizes and thread
-// counts, per-trial RNG stream identity, retry and failure degradation, and
-// the fall-back rules (non-plain specs and the global batch switch).
+// Contract tests for the chunk engine behind `run_campaign_batched` and every
+// other campaign entry point (DESIGN.md §9, §11): records and statuses equal
+// a serial per-trial oracle across chunk sizes and thread counts, per-trial
+// RNG stream identity, retry and failure degradation, and resilient specs
+// (deadline, budget, per-run cap, checkpoint) giving the same records as a
+// plain run.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <filesystem>
 #include <stdexcept>
 #include <vector>
 
@@ -30,24 +33,32 @@ CampaignSpec plain_spec(std::size_t trials, unsigned threads) {
   return spec;
 }
 
+/// Serial per-trial oracle: trial i computed from a fresh
+/// Rng(trial_seed(base_seed, i)), one at a time in index order — what the
+/// chunk engine must reproduce at any chunk size and thread count.
+template <typename Record, typename TrialFn>
+std::vector<Record> serial_oracle(const CampaignSpec& spec, const TrialFn& trial) {
+  std::vector<Record> out(spec.trials);
+  for (std::size_t i = 0; i < spec.trials; ++i) {
+    Rng rng(trial_seed(spec.base_seed, i));
+    out[i] = trial(i, rng, CancelToken());
+  }
+  return out;
+}
+
 TEST(BatchCampaign, MatchesReferenceAcrossChunkSizesAndThreads) {
   const auto trial = [](std::size_t t, Rng& rng, const CancelToken&) {
     return Sample{rng.next_u64(), t};
   };
-  BatchOptions reference_opt;
-  reference_opt.force_reference = true;
-  const auto reference =
-      run_campaign_batched<Sample>(plain_spec(1000, 1), trial, reference_opt);
-  ASSERT_EQ(reference.report.completed, 1000u);
+  const auto reference = serial_oracle<Sample>(plain_spec(1000, 1), trial);
   for (const std::size_t chunk : {std::size_t{1}, std::size_t{3}, std::size_t{64},
                                   std::size_t{1000}, std::size_t{4096}}) {
     for (const unsigned threads : {1u, 4u, 0u}) {
       BatchOptions opt;
       opt.chunk = chunk;
       const auto batched = run_campaign_batched<Sample>(plain_spec(1000, threads), trial, opt);
-      EXPECT_EQ(reference.records, batched.records)
-          << "chunk=" << chunk << " threads=" << threads;
-      EXPECT_EQ(reference.status, batched.status);
+      EXPECT_EQ(reference, batched.records) << "chunk=" << chunk << " threads=" << threads;
+      EXPECT_EQ(batched.status, std::vector<TrialStatus>(1000, TrialStatus::kOk));
       EXPECT_EQ(batched.report.completed, 1000u);
       EXPECT_TRUE(batched.report.complete());
     }
@@ -117,48 +128,52 @@ TEST(BatchCampaign, TransientFailuresRecoverViaRetry) {
   }
 }
 
-TEST(BatchCampaign, NonPlainSpecsFallBackToReferenceEngine) {
-  // Deadlines, budgets, per-run caps, and checkpoints are reference-engine
-  // features; campaign_uses_batch must refuse them.
-  CampaignSpec plain = plain_spec(10, 1);
+TEST(BatchCampaign, ResilientSpecsMatchPlainRun) {
+  // Deadlines, budgets, per-run caps and checkpoints are policy, not
+  // identity: each runs on the same chunk engine and gives the plain run's
+  // records (a cap leaves the trials past it kSkipped).
+  CampaignSpec plain = plain_spec(300, 1);
   EXPECT_TRUE(plain_campaign_spec(plain));
+  const auto trial = [](std::size_t t, Rng& rng, const CancelToken& cancel) {
+    cancel.throw_if_cancelled();
+    return Sample{rng.next_u64(), t};
+  };
+  const auto reference = serial_oracle<Sample>(plain, trial);
+
   auto with_deadline = plain;
-  with_deadline.trial_deadline = std::chrono::milliseconds(100);
-  EXPECT_FALSE(plain_campaign_spec(with_deadline));
+  with_deadline.trial_deadline = std::chrono::milliseconds(10000);
   auto with_budget = plain;
-  with_budget.overall_budget = std::chrono::milliseconds(100);
-  EXPECT_FALSE(plain_campaign_spec(with_budget));
+  with_budget.overall_budget = std::chrono::milliseconds(60000);
   auto with_cap = plain;
-  with_cap.max_trials_per_run = 5;
-  EXPECT_FALSE(plain_campaign_spec(with_cap));
+  with_cap.max_trials_per_run = 120;
   auto with_checkpoint = plain;
-  with_checkpoint.checkpoint_path = "/tmp/never-written.ckpt";
-  EXPECT_FALSE(plain_campaign_spec(with_checkpoint));
+  with_checkpoint.checkpoint_path = ::testing::TempDir() + "batch_resilient.ckpt";
+  with_checkpoint.checkpoint_every = 16;
+  for (const CampaignSpec* spec : {&with_deadline, &with_budget, &with_cap, &with_checkpoint})
+    EXPECT_FALSE(plain_campaign_spec(*spec));
 
-  // A non-plain spec still produces correct results (via the fallback).
-  const auto result = run_campaign_batched<Sample>(
-      with_deadline,
-      [](std::size_t t, Rng& rng, const CancelToken&) { return Sample{rng.next_u64(), t}; });
-  EXPECT_EQ(result.report.completed, 10u);
-  for (std::size_t t = 0; t < 10; ++t) {
-    Rng expected(trial_seed(4242, t));
-    EXPECT_EQ(result.records[t].value, expected.next_u64());
+  for (const unsigned threads : {1u, 4u}) {
+    for (CampaignSpec spec : {with_deadline, with_budget, with_checkpoint}) {
+      spec.threads = threads;
+      std::filesystem::remove(with_checkpoint.checkpoint_path);
+      const auto result = run_campaign_batched<Sample>(spec, trial);
+      EXPECT_TRUE(result.report.complete()) << "threads=" << threads;
+      EXPECT_EQ(result.records, reference) << "threads=" << threads;
+    }
+    CampaignSpec capped = with_cap;
+    capped.threads = threads;
+    const auto result = run_campaign_batched<Sample>(capped, trial);
+    EXPECT_EQ(result.report.completed, 120u);
+    EXPECT_EQ(result.report.skipped, 180u);
+    for (std::size_t t = 0; t < 300; ++t) {
+      if (t < 120) {
+        EXPECT_EQ(result.records[t], reference[t]) << "t=" << t;
+      } else {
+        EXPECT_EQ(result.status[t], TrialStatus::kSkipped) << "t=" << t;
+      }
+    }
   }
-}
-
-TEST(BatchCampaign, GlobalSwitchForcesReferenceEngine) {
-  const bool saved = campaign_batch_enabled();
-  set_campaign_batch_enabled(false);
-  const CampaignSpec spec = plain_spec(10, 1);
-  EXPECT_FALSE(campaign_uses_batch(spec));
-  const auto off = run_campaign_batched<std::uint64_t>(
-      spec, [](std::size_t, Rng& rng, const CancelToken&) { return rng.next_u64(); });
-  set_campaign_batch_enabled(true);
-  EXPECT_TRUE(campaign_uses_batch(spec));
-  const auto on = run_campaign_batched<std::uint64_t>(
-      spec, [](std::size_t, Rng& rng, const CancelToken&) { return rng.next_u64(); });
-  set_campaign_batch_enabled(saved);
-  EXPECT_EQ(off.records, on.records) << "engines must agree bit-for-bit";
+  std::filesystem::remove(with_checkpoint.checkpoint_path);
 }
 
 TEST(BatchCampaign, ZeroTrials) {

@@ -1,9 +1,9 @@
 // Differential suite for the batch trial kernels (DESIGN.md §11). Two
 // layers: (1) every dispatched kernel is bit-identical to its scalar
 // reference at adversarial sizes — below, at, and above the SIMD lane width,
-// plus a large non-multiple; (2) whole fault-injection campaigns are
-// bit-identical across dispatch modes and thread counts to the legacy
-// serializing reference engine. Together these ARE the contract that lets
+// plus a large non-multiple; (2) whole fault-injection campaigns with the
+// batched trial bodies are bit-identical across dispatch modes and thread
+// counts to the per-trial reference bodies. Together these ARE the contract that lets
 // `LORE_SIMD_SCALAR=1` serve as a trusted arbiter for any suspected
 // SIMD/batching miscompare.
 #include <gtest/gtest.h>
@@ -36,7 +36,7 @@ class DispatchGuard {
   kernels::Dispatch saved_;
 };
 
-/// Restore the batch-engine switch on scope exit.
+/// Restore the batched-body switch on scope exit.
 class BatchEngineGuard {
  public:
   BatchEngineGuard() : saved_(campaign_batch_enabled()) {}
@@ -167,8 +167,8 @@ TEST(SimdKernels, DispatchedWrappersFollowActiveDispatch) {
 }
 
 // ---------------------------------------------------------------------------
-// Campaign-level differential: the batched engine under every dispatch mode
-// and thread count must reproduce the reference engine's records exactly.
+// Campaign-level differential: the batched bodies under every dispatch mode
+// and thread count must reproduce the reference bodies' records exactly.
 
 TEST(SimdCampaignDifferential, FaultCampaignBitIdenticalToReference) {
   DispatchGuard dispatch_guard;
@@ -177,7 +177,7 @@ TEST(SimdCampaignDifferential, FaultCampaignBitIdenticalToReference) {
   const arch::FaultInjector injector(w);
   for (const auto target : {arch::FaultTarget::kRegister, arch::FaultTarget::kMemory,
                             arch::FaultTarget::kInstruction}) {
-    set_campaign_batch_enabled(false);  // legacy engine + per-trial inject()
+    set_campaign_batch_enabled(false);  // per-trial reference inject()
     const auto reference = injector.campaign(300, target, 2024, 1);
     ASSERT_EQ(reference.size(), 300u);
     set_campaign_batch_enabled(true);
@@ -215,7 +215,7 @@ TEST(SimdCampaignDifferential, PipelineCampaignBitIdenticalToReference) {
 
 TEST(SimdCampaignDifferential, ReplaySeedStillReproducesBatchedTrials) {
   // Each batched record's trial_seed must replay to the same outcome through
-  // the (reference) single-trial path — the cross-engine debugging loop.
+  // the (reference) single-trial path — the cross-body debugging loop.
   BatchEngineGuard engine_guard;
   set_campaign_batch_enabled(true);
   const auto w = arch::make_checksum(12, 5);

@@ -60,9 +60,15 @@ std::vector<arch::FaultRecord> fleet_run(const std::string& kind,
 
   coord.serve({kind, params, resolved});
   coord.wait();
+  // A small campaign can finish before a slow worker connects, and a worker
+  // that finds no coordinator rightly exits 1; let every worker say hello.
+  for (int i = 0; i < 1000 && coord.snapshot().workers_seen < workers; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
   if (snap_out) *snap_out = coord.snapshot();
   const CampaignCheckpoint merged = coord.finish();
-  for (const pid_t pid : kids) wait_worker(pid);
+  // finish() tells every worker to shut down: a successful campaign leaves
+  // no worker exiting with an error.
+  for (const pid_t pid : kids) EXPECT_EQ(wait_worker(pid), 0) << "worker " << pid;
 
   const auto result = records_from_checkpoint(kind, resolved, merged);
   return result ? result->records : std::vector<arch::FaultRecord>{};
@@ -124,7 +130,7 @@ TEST(FabricE2E, KilledWorkerShardsAreRedispatched) {
   ASSERT_TRUE(coord.wait(std::chrono::minutes(2)));
   const FleetSnapshot snap = coord.snapshot();
   const CampaignCheckpoint merged = coord.finish();
-  wait_worker(survivor);
+  EXPECT_EQ(wait_worker(survivor), 0);
 
   EXPECT_EQ(snap.workers_seen, 2u);
   const auto result = records_from_checkpoint("arch.fault", *resolved, merged);

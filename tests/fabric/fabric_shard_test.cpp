@@ -1,10 +1,14 @@
 // Shard partitioning, the work-stealing shard table, checkpoint-payload
 // merge semantics (overlaps, duplicates), and the decode_checkpoint
 // diagnostics — including the identity-mismatch message carrying BOTH the
-// expected and found hashes plus the payload's build tag.
+// expected and found hashes plus the payload's build tag, and a CRC-valid
+// frame whose entry count no payload could hold.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <numeric>
 
 #include "src/arch/fault.hpp"
@@ -200,6 +204,53 @@ TEST_F(MergeFixture, IdentityMismatchMessageNamesBothHashes) {
   EXPECT_NE(err.find(expected_hex), std::string::npos) << err;
   EXPECT_NE(err.find(found_hex), std::string::npos) << err;
   EXPECT_NE(err.find(checkpoint_build_tag()), std::string::npos) << err;
+}
+
+/// CRC-32 (IEEE 802.3, reflected) — the LORECKP1 trailer, recomputed here
+/// so the test can forge a frame that passes the CRC check.
+std::uint32_t crc32(std::string_view bytes) {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xedb88320u & (0u - (c & 1u)));
+    table[i] = c;
+  }
+  std::uint32_t crc = 0xffffffffu;
+  for (const char ch : bytes) crc = (crc >> 8) ^ table[(crc ^ static_cast<std::uint8_t>(ch)) & 0xffu];
+  return crc ^ 0xffffffffu;
+}
+
+TEST_F(MergeFixture, HostileEntryCountIsRejectedWithoutAllocating) {
+  // A CRC-valid frame claiming 2^60 entries: the count must be checked
+  // against the bytes left before anything is reserved (reserve(2^60) throws
+  // std::length_error, which would take down a coordinator handler thread).
+  CampaignCheckpoint ck;
+  ck.identity = spec_.identity_hash();
+  ck.build_tag = checkpoint_build_tag();
+  ck.trials = spec_.trials;
+  std::string frame = encode_checkpoint(ck);
+  std::string body = frame.substr(0, frame.size() - 4);
+  const std::uint64_t count = std::uint64_t{1} << 60;
+  for (int i = 0; i < 8; ++i)  // the entry count is the body's last u64
+    body[body.size() - 8 + i] = static_cast<char>(count >> (8 * i));
+  const std::uint32_t crc = crc32(body);
+  for (int i = 0; i < 4; ++i) body.push_back(static_cast<char>(crc >> (8 * i)));
+
+  testing::internal::CaptureStderr();
+  std::optional<CampaignCheckpoint> back;
+  EXPECT_NO_THROW(back = decode_checkpoint(body, spec_, "hostile"));
+  std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_FALSE(back.has_value());
+  EXPECT_NE(err.find("entry count exceeds payload"), std::string::npos) << err;
+
+  // The checkpoint-file loader walks frames with the same bound.
+  const std::string path = ::testing::TempDir() + "hostile_count.ckpt";
+  std::ofstream(path, std::ios::binary) << body;
+  testing::internal::CaptureStderr();
+  EXPECT_NO_THROW(back = load_checkpoint(path, spec_));
+  testing::internal::GetCapturedStderr();
+  EXPECT_FALSE(back.has_value());
+  std::filesystem::remove(path);
 }
 
 TEST_F(MergeFixture, TrialCountMismatchMessageNamesBothCounts) {

@@ -1,6 +1,8 @@
 // Resilience contract of the campaign runtime (src/common/campaign.hpp):
 // checkpoints survive corruption/truncation/staleness by degrading to a fresh
-// run; a SIGKILL-ed campaign resumes bit-identically at any thread count;
+// run; the file is a stream of appended frames whose torn tail is dropped and
+// which grows by the new trials' bytes per slice; a SIGKILL-ed campaign
+// resumes bit-identically at any thread count;
 // hung trials time out, retry with backoff, and degrade into the report; the
 // pool reports suppressed job exceptions instead of dropping them.
 #include "src/common/campaign.hpp"
@@ -57,6 +59,23 @@ CampaignResult<ProbeRecord> run_probe(const CampaignSpec& spec) {
       spec, [](std::size_t t, Rng& rng, const CancelToken&) { return probe_trial(t, rng); });
 }
 
+/// Rewrite a finished campaign's multi-frame checkpoint as one frame — the
+/// layout a single `write_checkpoint` produces.
+void compact_checkpoint(const CampaignSpec& spec) {
+  const auto loaded = load_checkpoint(spec.checkpoint_path, spec);
+  ASSERT_TRUE(loaded.has_value());
+  ASSERT_TRUE(write_checkpoint(spec.checkpoint_path, *loaded));
+}
+
+/// Bytes of one frame holding `entries` ProbeRecord entries of `spec`.
+std::size_t frame_bytes(const CampaignSpec& spec, std::size_t entries) {
+  CampaignCheckpoint ck;
+  ck.identity = spec.identity_hash();
+  ck.build_tag = checkpoint_build_tag();
+  ck.trials = spec.trials;
+  return encode_checkpoint(ck).size() + entries * (8 + 4 + sizeof(ProbeRecord));
+}
+
 TEST(Checkpoint, RoundTripPreservesEntries) {
   if (!kCheckpointCompiledIn) GTEST_SKIP() << "built with LORE_CHECKPOINT=OFF";
   CampaignSpec spec = base_spec(10, "roundtrip");
@@ -86,6 +105,7 @@ TEST(Checkpoint, CorruptedByteFallsBackToFreshRun) {
   if (!kCheckpointCompiledIn) GTEST_SKIP() << "built with LORE_CHECKPOINT=OFF";
   CampaignSpec spec = base_spec(12, "corrupt");
   ASSERT_TRUE(run_probe(spec).report.complete());
+  compact_checkpoint(spec);
 
   // Flip one payload byte in the middle of the file: the CRC must reject it.
   std::fstream f(spec.checkpoint_path,
@@ -114,6 +134,7 @@ TEST(Checkpoint, TruncatedFileFallsBackToFreshRun) {
   if (!kCheckpointCompiledIn) GTEST_SKIP() << "built with LORE_CHECKPOINT=OFF";
   CampaignSpec spec = base_spec(12, "truncated");
   ASSERT_TRUE(run_probe(spec).report.complete());
+  compact_checkpoint(spec);
   const auto size = std::filesystem::file_size(spec.checkpoint_path);
   std::filesystem::resize_file(spec.checkpoint_path, size / 2);
 
@@ -148,6 +169,148 @@ TEST(Checkpoint, SpecIdentityMismatchIsRejected) {
   policy_change.threads = 7;  // policy field: same campaign
   policy_change.checkpoint_every = 3;
   EXPECT_TRUE(load_checkpoint(spec.checkpoint_path, policy_change).has_value());
+}
+
+TEST(Checkpoint, TornTailFrameIsDroppedAndResumeIsBitIdentical) {
+  if (!kCheckpointCompiledIn) GTEST_SKIP() << "built with LORE_CHECKPOINT=OFF";
+  CampaignSpec reference_spec = base_spec(40, "torn_ref");
+  reference_spec.checkpoint_path.clear();
+  const auto reference = run_probe(reference_spec);
+
+  for (unsigned threads : {1u, 4u}) {
+    CampaignSpec spec = base_spec(40, "torn");
+    spec.threads = threads;
+    spec.checkpoint_every = 5;
+    spec.max_trials_per_run = 20;
+    ASSERT_EQ(run_probe(spec).report.completed, 20u);
+    // First frame (empty) + 4 appended frames of 5 entries each.
+    const std::size_t size = std::filesystem::file_size(spec.checkpoint_path);
+    ASSERT_EQ(size, frame_bytes(spec, 0) * 5 + 20 * (8 + 4 + sizeof(ProbeRecord)));
+    // A crash mid-append: cut the last frame in half.
+    std::filesystem::resize_file(spec.checkpoint_path, size - frame_bytes(spec, 5) / 2);
+
+    testing::internal::CaptureStderr();
+    const auto loaded = load_checkpoint(spec.checkpoint_path, spec);
+    const std::string err = testing::internal::GetCapturedStderr();
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(loaded->entries.size(), 15u);
+    EXPECT_NE(err.find("torn tail frame dropped"), std::string::npos) << err;
+
+    spec.max_trials_per_run = 0;
+    testing::internal::CaptureStderr();
+    const auto resumed = run_probe(spec);
+    testing::internal::GetCapturedStderr();
+    ASSERT_TRUE(resumed.report.complete());
+    EXPECT_EQ(resumed.report.resumed, 15u);
+    EXPECT_EQ(resumed.records, reference.records) << "threads=" << threads;
+    // The resumed run rewrote the file: it now loads whole, with no warning.
+    testing::internal::CaptureStderr();
+    const auto after = load_checkpoint(spec.checkpoint_path, spec);
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+    ASSERT_TRUE(after.has_value());
+    EXPECT_EQ(after->entries.size(), 40u);
+  }
+}
+
+TEST(Checkpoint, CorruptFrameBeforeTheEndRejectsTheFile) {
+  if (!kCheckpointCompiledIn) GTEST_SKIP() << "built with LORE_CHECKPOINT=OFF";
+  CampaignSpec spec = base_spec(10, "midframe");
+  spec.threads = 1;
+  spec.checkpoint_every = 5;
+  ASSERT_TRUE(run_probe(spec).report.complete());
+  // Flip the last payload byte of the first appended frame (the file is an
+  // empty first frame, then two 5-entry frames).
+  const std::size_t offset = frame_bytes(spec, 0) + frame_bytes(spec, 5) - 5;
+  std::fstream f(spec.checkpoint_path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f.is_open());
+  char byte = 0;
+  f.seekg(static_cast<std::streamoff>(offset));
+  f.read(&byte, 1);
+  byte = static_cast<char>(byte ^ 0x40);
+  f.seekp(static_cast<std::streamoff>(offset));
+  f.write(&byte, 1);
+  f.close();
+
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(load_checkpoint(spec.checkpoint_path, spec).has_value());
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("CRC mismatch"), std::string::npos) << err;
+  EXPECT_NE(err.find("invalid frame before the end"), std::string::npos) << err;
+}
+
+TEST(Checkpoint, StaleOrForeignFileIsReplacedNotAppendedTo) {
+  if (!kCheckpointCompiledIn) GTEST_SKIP() << "built with LORE_CHECKPOINT=OFF";
+  CampaignSpec spec = base_spec(16, "foreign");
+  spec.checkpoint_every = 4;
+  CampaignSpec other = spec;
+  other.base_seed += 1;  // another campaign's checkpoint at the same path
+  CampaignSpec other_run = other;
+  other_run.max_trials_per_run = 8;
+  ASSERT_EQ(run_probe(other_run).report.completed, 8u);
+  const auto foreign_size = std::filesystem::file_size(spec.checkpoint_path);
+
+  testing::internal::CaptureStderr();
+  const auto result = run_probe(spec);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("identity mismatch"), std::string::npos) << err;
+  EXPECT_FALSE(result.report.loaded_checkpoint);
+  ASSERT_TRUE(result.report.complete());
+  // The file holds this campaign alone: an empty first frame + 4 frames.
+  EXPECT_EQ(std::filesystem::file_size(spec.checkpoint_path),
+            frame_bytes(spec, 0) * 5 + 16 * (8 + 4 + sizeof(ProbeRecord)));
+  EXPECT_NE(std::filesystem::file_size(spec.checkpoint_path), foreign_size);
+  EXPECT_FALSE(load_checkpoint(spec.checkpoint_path, other).has_value());
+  const auto mine = load_checkpoint(spec.checkpoint_path, spec);
+  ASSERT_TRUE(mine.has_value());
+  EXPECT_EQ(mine->entries.size(), 16u);
+
+  // A stale build tag is replaced the same way.
+  CampaignCheckpoint stale;
+  stale.identity = spec.identity_hash();
+  stale.build_tag = "stale-build";
+  stale.trials = spec.trials;
+  stale.entries = {{0, std::string(sizeof(ProbeRecord), 'x')}};
+  ASSERT_TRUE(write_checkpoint(spec.checkpoint_path, stale));
+  testing::internal::CaptureStderr();
+  const auto rerun = run_probe(spec);
+  testing::internal::GetCapturedStderr();
+  EXPECT_FALSE(rerun.report.loaded_checkpoint);
+  EXPECT_EQ(rerun.records, result.records);
+}
+
+TEST(Checkpoint, FileGrowsByTheNewTrialsPerSlice) {
+  // Exact byte accounting: every slice rewrites the first frame with what
+  // was loaded and appends one frame per chunk, so slice k leaves
+  // (1 + frames per slice) headers plus k * slice entries — the file grows
+  // by the slice's own entries, never by a rewrite of everything before.
+  if (!kCheckpointCompiledIn) GTEST_SKIP() << "built with LORE_CHECKPOINT=OFF";
+  constexpr std::size_t kSlice = 30, kEvery = 8;
+  constexpr std::size_t kFramesPerSlice = (kSlice + kEvery - 1) / kEvery;
+  constexpr std::size_t kEntry = 8 + 4 + sizeof(ProbeRecord);
+  for (unsigned threads : {1u, 4u}) {
+    CampaignSpec spec = base_spec(4 * kSlice, "growth");
+    spec.threads = threads;
+    spec.checkpoint_every = kEvery;
+    spec.max_trials_per_run = kSlice;
+    std::size_t previous = 0;
+    for (std::size_t k = 1; k <= 4; ++k) {
+      const auto result = run_probe(spec);
+      ASSERT_EQ(result.report.completed, k * kSlice);
+      EXPECT_EQ(result.report.checkpoints_written, 1 + kFramesPerSlice);
+      const std::size_t size = std::filesystem::file_size(spec.checkpoint_path);
+      EXPECT_EQ(size, frame_bytes(spec, 0) * (1 + kFramesPerSlice) + k * kSlice * kEntry)
+          << "slice " << k << " threads " << threads;
+      if (k > 1) {
+        EXPECT_EQ(size - previous, kSlice * kEntry);
+      }
+      previous = size;
+    }
+    // A finished campaign resumes everything and writes nothing.
+    const auto done = run_probe(spec);
+    EXPECT_EQ(done.report.resumed, 4 * kSlice);
+    EXPECT_EQ(done.report.checkpoints_written, 0u);
+    EXPECT_EQ(std::filesystem::file_size(spec.checkpoint_path), previous);
+  }
 }
 
 TEST(Checkpoint, DefaultPathComesFromEnvironment) {
