@@ -157,31 +157,6 @@ FaultSite FaultInjector::random_site(lore::Rng& rng, FaultTarget target) const {
 
 namespace {
 
-/// Field-wise checkpoint codec for FaultRecord (stable across struct padding
-/// and layout changes; the format is what's versioned, not the struct).
-struct FaultRecordCodec {
-  static void encode(lore::ByteWriter& w, const FaultRecord& r) {
-    w.put_u8(static_cast<std::uint8_t>(r.site.target));
-    w.put_u64(r.site.index);
-    w.put_u32(r.site.bit);
-    w.put_u64(r.site.cycle);
-    w.put_u8(static_cast<std::uint8_t>(r.outcome));
-    w.put_u64(static_cast<std::uint64_t>(r.active_instruction));
-    w.put_u64(r.trial_seed);
-  }
-  static FaultRecord decode(lore::ByteReader& r) {
-    FaultRecord rec;
-    rec.site.target = static_cast<FaultTarget>(r.get_u8());
-    rec.site.index = static_cast<std::size_t>(r.get_u64());
-    rec.site.bit = r.get_u32();
-    rec.site.cycle = r.get_u64();
-    rec.outcome = static_cast<Outcome>(r.get_u8());
-    rec.active_instruction = static_cast<std::int64_t>(r.get_u64());
-    rec.trial_seed = r.get_u64();
-    return rec;
-  }
-};
-
 /// Workload fingerprint folded into the campaign identity: golden output,
 /// cycle count, program size, and the fault target. Distinguishes any two
 /// campaigns whose records could differ.
@@ -459,7 +434,7 @@ lore::CampaignResult<FaultRecord> FaultInjector::campaign_run(
   LORE_OBS_TIMER(timer, "campaign.arch_us");
   const lore::CampaignSpec s = resolved_spec(spec, target);
   auto result = with_trial_body(s, target, [&](auto&& body) {
-    return lore::run_campaign_batched<FaultRecord, FaultRecordCodec>(s, body);
+    return lore::run_campaign<FaultRecord, FaultRecordCodec>(s, body);
   });
   count_completed_outcomes("campaign.arch", result);
   return result;

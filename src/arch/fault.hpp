@@ -54,6 +54,32 @@ struct FaultRecord {
   friend bool operator==(const FaultRecord&, const FaultRecord&) = default;
 };
 
+/// Field-wise checkpoint codec for FaultRecord, shared by the functional and
+/// pipeline campaigns: 38 bytes, stable across struct padding and layout
+/// changes (the format is what's versioned, not the struct).
+struct FaultRecordCodec {
+  static void encode(ByteWriter& w, const FaultRecord& r) {
+    w.put_u8(static_cast<std::uint8_t>(r.site.target));
+    w.put_u64(r.site.index);
+    w.put_u32(r.site.bit);
+    w.put_u64(r.site.cycle);
+    w.put_u8(static_cast<std::uint8_t>(r.outcome));
+    w.put_u64(static_cast<std::uint64_t>(r.active_instruction));
+    w.put_u64(r.trial_seed);
+  }
+  static FaultRecord decode(ByteReader& r) {
+    FaultRecord rec;
+    rec.site.target = static_cast<FaultTarget>(r.get_u8());
+    rec.site.index = static_cast<std::size_t>(r.get_u64());
+    rec.site.bit = r.get_u32();
+    rec.site.cycle = r.get_u64();
+    rec.outcome = static_cast<Outcome>(r.get_u8());
+    rec.active_instruction = static_cast<std::int64_t>(r.get_u64());
+    rec.trial_seed = r.get_u64();
+    return rec;
+  }
+};
+
 struct GoldenRun {
   std::vector<std::uint32_t> output;
   std::uint64_t cycles = 0;

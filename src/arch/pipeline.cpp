@@ -327,35 +327,6 @@ Outcome pipeline_inject(const Workload& w, const PipelineFaultSite& site) {
   return Outcome::kBenign;
 }
 
-namespace {
-
-/// Same wire format as the FaultInjector campaign records (field-wise, layout
-/// independent).
-struct PipelineRecordCodec {
-  static void encode(lore::ByteWriter& w, const FaultRecord& r) {
-    w.put_u8(static_cast<std::uint8_t>(r.site.target));
-    w.put_u64(r.site.index);
-    w.put_u32(r.site.bit);
-    w.put_u64(r.site.cycle);
-    w.put_u8(static_cast<std::uint8_t>(r.outcome));
-    w.put_u64(static_cast<std::uint64_t>(r.active_instruction));
-    w.put_u64(r.trial_seed);
-  }
-  static FaultRecord decode(lore::ByteReader& r) {
-    FaultRecord rec;
-    rec.site.target = static_cast<FaultTarget>(r.get_u8());
-    rec.site.index = static_cast<std::size_t>(r.get_u64());
-    rec.site.bit = r.get_u32();
-    rec.site.cycle = r.get_u64();
-    rec.outcome = static_cast<Outcome>(r.get_u8());
-    rec.active_instruction = static_cast<std::int64_t>(r.get_u64());
-    rec.trial_seed = r.get_u64();
-    return rec;
-  }
-};
-
-}  // namespace
-
 // Batched pipeline trial hot path — the same snapshot + store-undo-log
 // scheme as the functional FaultInjector (see fault.cpp): one instrumented
 // clean pipeline run records periodic `PipelineCpu::Snapshot`s and the
@@ -559,13 +530,13 @@ CampaignCheckpoint pipeline_campaign_shard(const Workload& w, const CampaignSpec
   const std::uint64_t total_cycles = pipeline_probe_cycles(w);
   const lore::CampaignSpec s = pipeline_spec_with_domain(w, spec, total_cycles);
   return with_pipeline_body(w, s, total_cycles, [&](auto&& body) {
-    return lore::run_campaign_shard<FaultRecord, PipelineRecordCodec>(s, range, body);
+    return lore::run_campaign_shard<FaultRecord, FaultRecordCodec>(s, range, body);
   });
 }
 
 CampaignResult<FaultRecord> pipeline_records_from_checkpoint(
     const CampaignSpec& spec, const CampaignCheckpoint& ck) {
-  return lore::result_from_checkpoint<FaultRecord, PipelineRecordCodec>(spec, ck);
+  return lore::result_from_checkpoint<FaultRecord, FaultRecordCodec>(spec, ck);
 }
 
 CampaignResult<FaultRecord> pipeline_campaign_run(const Workload& w,
@@ -575,7 +546,7 @@ CampaignResult<FaultRecord> pipeline_campaign_run(const Workload& w,
   const std::uint64_t total_cycles = pipeline_probe_cycles(w);
   const lore::CampaignSpec s = pipeline_spec_with_domain(w, spec, total_cycles);
   auto result = with_pipeline_body(w, s, total_cycles, [&](auto&& body) {
-    return lore::run_campaign_batched<FaultRecord, PipelineRecordCodec>(s, body);
+    return lore::run_campaign<FaultRecord, FaultRecordCodec>(s, body);
   });
   if (result.report.complete()) {
     count_campaign_outcomes("campaign.pipeline", result.records);

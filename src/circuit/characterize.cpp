@@ -222,7 +222,7 @@ lore::CampaignReport Characterizer::characterize_library(
   s.trials = lib.size();  // trial t characterizes cell t — the grid IS the campaign
   if (s.domain.empty()) s.domain = characterize_domain(lib, op, cfg_);
 
-  auto result = lore::run_campaign_batched<CellTablesRecord, CellTablesCodec>(
+  auto result = lore::run_campaign<CellTablesRecord, CellTablesCodec>(
       s, [&](std::size_t t, lore::Rng&, const lore::CancelToken& cancel) {
         Cell cell = lib.cell(t);  // work on a copy; apply only completed cells
         characterize_cell(cell, op, &cancel);

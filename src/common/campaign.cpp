@@ -1,12 +1,12 @@
 #include "src/common/campaign.hpp"
 
-#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
 #include <string>
 #include <thread>
 
+#include "src/obs/crc32.hpp"
 #include "src/obs/obs.hpp"
 
 #ifndef LORE_BUILD_TAG
@@ -18,23 +18,6 @@ namespace {
 
 constexpr char kMagic[8] = {'L', 'O', 'R', 'E', 'C', 'K', 'P', '1'};
 constexpr std::uint32_t kVersion = 1;
-
-/// CRC-32 (IEEE 802.3, reflected), table built on first use.
-std::uint32_t crc32(const char* data, std::size_t n) {
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xedb88320u & (0u - (c & 1u)));
-      t[i] = c;
-    }
-    return t;
-  }();
-  std::uint32_t crc = 0xffffffffu;
-  for (std::size_t i = 0; i < n; ++i)
-    crc = (crc >> 8) ^ table[(crc ^ static_cast<std::uint8_t>(data[i])) & 0xffu];
-  return crc ^ 0xffffffffu;
-}
 
 std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
   const auto* p = static_cast<const std::uint8_t*>(data);
@@ -137,6 +120,10 @@ std::uint64_t CampaignSpec::identity_hash() const {
   return h;
 }
 
+void ByteWriter::regrow(std::size_t n) { buf_.resize(std::max(2 * buf_.size(), size_ + n)); }
+
+void ByteReader::truncated() { throw CheckpointError("truncated payload"); }
+
 std::string checkpoint_build_tag() { return LORE_BUILD_TAG; }
 
 std::string default_checkpoint_path(std::string_view campaign_name) {
@@ -150,24 +137,28 @@ std::string default_checkpoint_path(std::string_view campaign_name) {
 }
 
 std::string encode_checkpoint(const CampaignCheckpoint& ck) {
+  // Sized exactly: header, 12 bytes + payload per entry, CRC.
+  std::size_t size = sizeof kMagic + 4 + 8 + 4 + ck.build_tag.size() + 8 + 8 + 4;
+  for (const CheckpointEntry& e : ck.entries) size += 12 + e.size;
   ByteWriter w;
+  w.reserve(size);
   w.put_bytes(kMagic, sizeof kMagic);
   w.put_u32(kVersion);
   w.put_u64(ck.identity);
   w.put_str(ck.build_tag);
   w.put_u64(ck.trials);
   w.put_u64(ck.entries.size());
+  const char* const payloads = ck.payloads.view().data();
   for (const auto& e : ck.entries) {
     w.put_u64(e.trial);
-    w.put_str(e.payload);
+    w.put_u32(e.size);
+    w.put_bytes(payloads + e.offset, e.size);
   }
-  std::string bytes = std::move(w).take();
-  const std::uint32_t crc = crc32(bytes.data(), bytes.size());
-  for (int i = 0; i < 4; ++i) bytes.push_back(static_cast<char>(crc >> (8 * i)));
-  return bytes;
+  w.put_u32(obs::crc32(w.view().data(), w.size()));
+  return std::move(w).take();
 }
 
-std::optional<CampaignCheckpoint> decode_checkpoint(std::string_view bytes,
+std::optional<CampaignCheckpoint> decode_checkpoint(std::string bytes,
                                                     const CampaignSpec& spec,
                                                     std::string_view source) {
   if (bytes.size() < sizeof kMagic + 4) {
@@ -179,13 +170,13 @@ std::optional<CampaignCheckpoint> decode_checkpoint(std::string_view bytes,
   for (int i = 0; i < 4; ++i)
     stored_crc |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(bytes[body_len + i]))
                   << (8 * i);
-  if (crc32(bytes.data(), body_len) != stored_crc) {
+  if (obs::crc32(bytes.data(), body_len) != stored_crc) {
     warn_checkpoint(source, "CRC mismatch (corrupted or torn payload)");
     return std::nullopt;
   }
 
   try {
-    ByteReader r(bytes.substr(0, body_len));
+    ByteReader r(std::string_view(bytes).substr(0, body_len));
     char magic[sizeof kMagic];
     r.get_bytes(magic, sizeof magic);
     if (std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
@@ -232,7 +223,7 @@ std::optional<CampaignCheckpoint> decode_checkpoint(std::string_view bytes,
     }
     // Every entry takes at least 12 bytes (u64 trial + u32 payload length):
     // a count the remaining bytes cannot hold is corrupt, and must not size
-    // an allocation.
+    // an allocation. Every payload length is checked against the bytes left.
     const std::uint64_t count = r.get_u64();
     if (count > r.remaining() / 12) {
       warn_checkpoint(source, "entry count exceeds payload");
@@ -240,15 +231,16 @@ std::optional<CampaignCheckpoint> decode_checkpoint(std::string_view bytes,
     }
     ck.entries.reserve(static_cast<std::size_t>(count));
     for (std::uint64_t i = 0; i < count; ++i) {
-      CheckpointEntry e;
-      e.trial = r.get_u64();
-      if (e.trial >= ck.trials) {
+      const std::uint64_t trial = r.get_u64();
+      if (trial >= ck.trials) {
         warn_checkpoint(source, "trial index out of range");
         return std::nullopt;
       }
-      e.payload = r.get_str();
-      ck.entries.push_back(std::move(e));
+      const std::uint32_t size = r.get_u32();
+      ck.entries.push_back({trial, body_len - r.remaining(), size});
+      r.skip(size);
     }
+    ck.payloads = ByteWriter(std::move(bytes));
     return ck;
   } catch (const CheckpointError&) {
     warn_checkpoint(source, "truncated");
@@ -347,13 +339,17 @@ std::optional<CampaignCheckpoint> load_checkpoint(const std::string& path,
       warn_checkpoint(path, merged ? "torn tail frame dropped" : "truncated first frame");
       break;
     }
-    std::optional<CampaignCheckpoint> frame = decode_checkpoint(rest.substr(0, len), spec, path);
+    std::optional<CampaignCheckpoint> frame =
+        decode_checkpoint(std::string(rest.substr(0, len)), spec, path);
     if (!frame) {
       if (len == rest.size()) break;  // an invalid last frame: dropped (warned above)
       warn_checkpoint(path, "invalid frame before the end of the file");
       return std::nullopt;
     }
-    if (!merged) merged = CampaignCheckpoint{frame->identity, frame->build_tag, frame->trials, {}};
+    if (!merged) {
+      merged = CampaignCheckpoint{frame->identity, frame->build_tag, frame->trials, {}, {}};
+      merged->payloads.reserve(bytes.size());  // holds every frame's payloads
+    }
     merge_checkpoint_entries(*merged, *frame, seen);
     offset += len;
   }
@@ -387,7 +383,7 @@ std::size_t merge_checkpoint_entries(CampaignCheckpoint& into,
     const auto i = static_cast<std::size_t>(e.trial);
     if (i >= into.trials || seen[i]) continue;
     seen[i] = 1;
-    into.entries.push_back(e);
+    into.add(e.trial, from.payload(e));
     ++accepted;
   }
   return accepted;
@@ -403,16 +399,20 @@ std::size_t merge_checkpoint_entries(CampaignCheckpoint& into,
 
 namespace campaign_detail {
 
-ChunkEngine::ChunkEngine(const CampaignSpec& spec, std::size_t window_trials,
-                         std::size_t chunk, bool pruning, PruneController* controller)
+ChunkEngine::ChunkEngine(const CampaignSpec& spec, TrialRange window, std::size_t chunk,
+                         bool pruning, PruneController* controller,
+                         CampaignCheckpoint* shard)
     : spec_(spec),
-      window_trials_(window_trials),
+      window_begin_(window.begin),
+      window_trials_(window.size()),
       chunk_(chunk),
       checkpointing_(kCheckpointCompiledIn && !spec.checkpoint_path.empty() &&
                      spec.checkpoint_every > 0),
       pruning_(pruning),
       controller_(controller),
-      t_start_(Clock::now()) {
+      t_start_(Clock::now()),
+      shard_(shard) {
+  if (shard_) shard_->entries.resize(window_trials_);
   // One frame per chunk: an interrupt loses at most checkpoint_every trials
   // per worker.
   if (checkpointing_) chunk_ = std::min(chunk_, spec.checkpoint_every);
@@ -435,14 +435,14 @@ ChunkEngine::ChunkEngine(const CampaignSpec& spec, std::size_t window_trials,
   }
 }
 
-CampaignCheckpoint ChunkEngine::frame(std::vector<CheckpointEntry> entries) const {
-  return {spec_.identity_hash(), checkpoint_build_tag(), spec_.trials, std::move(entries)};
+CampaignCheckpoint ChunkEngine::frame() const {
+  return {spec_.identity_hash(), checkpoint_build_tag(), spec_.trials, {}, {}};
 }
 
-void ChunkEngine::start(std::vector<CheckpointEntry> resumed_entries, std::size_t resumed,
-                        bool loaded, bool work_left) {
+void ChunkEngine::start(std::optional<CampaignCheckpoint> loaded, std::size_t resumed,
+                        bool work_left) {
   resumed_ = resumed;
-  loaded_ = loaded;
+  loaded_ = loaded.has_value();
   if (completed_) {
     obs::MetricsRegistry::global().counter("campaign.trials_resumed").add(resumed);
     progress_->set(window_trials_ ? static_cast<double>(resumed) /
@@ -451,8 +451,10 @@ void ChunkEngine::start(std::vector<CheckpointEntry> resumed_entries, std::size_
   }
   if (!checkpointing_ || !work_left) return;
   // The first frame is rewritten whole, so later appends always extend a
-  // file of this campaign; if that fails, append nothing.
-  checkpointing_ = write_checkpoint(spec_.checkpoint_path, frame(std::move(resumed_entries)));
+  // file of this campaign; if that fails, append nothing. A loaded
+  // checkpoint passed the identity checks, so its header is this frame's.
+  checkpointing_ = loaded ? write_checkpoint(spec_.checkpoint_path, *loaded)
+                          : write_checkpoint(spec_.checkpoint_path, frame());
   if (checkpointing_) checkpoints_written_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -501,14 +503,25 @@ void ChunkEngine::chunk_done(std::size_t first, std::size_t ok, std::size_t prun
   }
 }
 
-void ChunkEngine::append(std::vector<CheckpointEntry> entries) {
+void ChunkEngine::publish(const CampaignCheckpoint& batch) {
+  if (shard_) {
+    std::lock_guard lock(shard_mu_);
+    // Size the buffer for the whole window from the first chunk's bytes per
+    // record (exact for fixed-size records), instead of regrowing it.
+    if (shard_->payloads.size() == 0)
+      shard_->payloads.reserve(batch.payloads.size() * window_trials_ /
+                               batch.entries.size());
+    const std::size_t base = shard_->payloads.size();
+    shard_->payloads.put_bytes(batch.payloads.view().data(), batch.payloads.size());
+    for (const CheckpointEntry& e : batch.entries)
+      shard_->entries[e.trial - window_begin_] = {e.trial, base + e.offset, e.size};
+  }
   if (!checkpointing_) return;
-  const std::size_t count = entries.size();
-  const CampaignCheckpoint ck = frame(std::move(entries));
+  const std::size_t count = batch.entries.size();
   const auto w0 = Clock::now();
   {
     std::lock_guard lock(io_mu_);
-    if (!append_checkpoint(spec_.checkpoint_path, ck)) return;
+    if (!append_checkpoint(spec_.checkpoint_path, batch)) return;
   }
   checkpoints_written_.fetch_add(1, std::memory_order_relaxed);
   const double us = std::chrono::duration<double, std::micro>(Clock::now() - w0).count();

@@ -5,8 +5,8 @@
 // A `CampaignSpec` names a campaign's identity (trial count, base seed, a
 // domain fingerprint) and its resilience policy (threads, per-trial deadline,
 // overall budget, retry/backoff, checkpoint path and interval). Every entry
-// point — `run_campaign`, `run_campaign_batched`, `run_campaign_pruned` and
-// the fabric's `run_campaign_shard` — runs on ONE chunk engine: trials are
+// point — `run_campaign`, `run_campaign_pruned` and the fabric's
+// `run_campaign_shard` — runs on ONE chunk engine: trials are
 // claimed in chunks by `parallel_for_chunks` with bulk-filled seeds, each
 // attempt gets a fresh `Rng(trial_seed(base_seed, i))`, a `CancelToken` armed
 // only when a deadline is set, and a budget check at trial start; failed or
@@ -183,53 +183,70 @@ struct CheckpointError : std::runtime_error {
   explicit CheckpointError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Little-endian byte serialization for checkpoint payloads.
+/// Little-endian byte serialization for checkpoint payloads. Every field is
+/// written whole after one capacity check; the buffer grows by doubling.
 class ByteWriter {
  public:
-  void put_u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-  void put_u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) put_u8(static_cast<std::uint8_t>(v >> (8 * i)));
+  ByteWriter() = default;
+  /// Continue after `bytes`.
+  explicit ByteWriter(std::string bytes) : buf_(std::move(bytes)), size_(buf_.size()) {}
+
+  /// Make room for `n` bytes in all without regrowing.
+  void reserve(std::size_t n) {
+    if (n > buf_.size()) buf_.resize(n);
   }
-  void put_u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) put_u8(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  void put_u8(std::uint8_t v) { *grow(1) = static_cast<char>(v); }
+  void put_u32(std::uint32_t v) { put_le<4>(v); }
+  void put_u64(std::uint64_t v) { put_le<8>(v); }
   void put_f64(double v) {
     std::uint64_t bits;
     std::memcpy(&bits, &v, sizeof bits);
     put_u64(bits);
   }
   void put_bytes(const void* data, std::size_t n) {
-    buf_.append(static_cast<const char*>(data), n);
+    if (n > 0) std::memcpy(grow(n), data, n);
   }
   void put_str(std::string_view s) {
     put_u32(static_cast<std::uint32_t>(s.size()));
-    buf_.append(s);
+    put_bytes(s.data(), s.size());
   }
-  std::string take() && { return std::move(buf_); }
-  const std::string& str() const { return buf_; }
+  std::size_t size() const { return size_; }
+  std::string_view view() const { return {buf_.data(), size_}; }
+  std::string take() && {
+    buf_.resize(size_);
+    size_ = 0;
+    return std::move(buf_);
+  }
 
  private:
-  std::string buf_;
+  char* grow(std::size_t n) {
+    if (buf_.size() - size_ < n) regrow(n);
+    char* p = buf_.data() + size_;
+    size_ += n;
+    return p;
+  }
+  void regrow(std::size_t n);  // out of line, so grow() inlines
+  // Unrolled so the compiler can merge the bytes into one store (GCC -O2
+  // keeps the loop otherwise).
+  template <std::size_t N>
+  void put_le(std::uint64_t v) {
+    char* p = grow(N);
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i < N; ++i) p[i] = static_cast<char>(v >> (8 * i));
+  }
+  std::string buf_;  // bytes [size_, buf_.size()) are spare room
+  std::size_t size_ = 0;
 };
 
+/// Reads what ByteWriter wrote; every field costs one bounds check, and a
+/// short read throws CheckpointError.
 class ByteReader {
  public:
   explicit ByteReader(std::string_view data) : data_(data) {}
 
-  std::uint8_t get_u8() {
-    need(1);
-    return static_cast<std::uint8_t>(data_[pos_++]);
-  }
-  std::uint32_t get_u32() {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(get_u8()) << (8 * i);
-    return v;
-  }
-  std::uint64_t get_u64() {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(get_u8()) << (8 * i);
-    return v;
-  }
+  std::uint8_t get_u8() { return static_cast<std::uint8_t>(*take(1)); }
+  std::uint32_t get_u32() { return static_cast<std::uint32_t>(get_le<4>()); }
+  std::uint64_t get_u64() { return get_le<8>(); }
   double get_f64() {
     const std::uint64_t bits = get_u64();
     double v;
@@ -237,23 +254,31 @@ class ByteReader {
     return v;
   }
   void get_bytes(void* out, std::size_t n) {
-    need(n);
-    std::memcpy(out, data_.data() + pos_, n);
-    pos_ += n;
+    const char* p = take(n);
+    if (n > 0) std::memcpy(out, p, n);
   }
-  std::string get_str() {
-    const std::uint32_t n = get_u32();
-    need(n);
-    std::string s(data_.substr(pos_, n));
-    pos_ += n;
-    return s;
-  }
+  /// The next `n` bytes, in place.
+  std::string_view get_view(std::size_t n) { return {take(n), n}; }
+  std::string get_str() { return std::string(get_view(get_u32())); }
   std::size_t remaining() const { return data_.size() - pos_; }
-  void skip(std::size_t n) { need(n); pos_ += n; }
+  void skip(std::size_t n) { take(n); }
 
  private:
-  void need(std::size_t n) const {
-    if (data_.size() - pos_ < n) throw CheckpointError("truncated payload");
+  [[noreturn]] static void truncated();
+  const char* take(std::size_t n) {
+    if (data_.size() - pos_ < n) truncated();
+    const char* p = data_.data() + pos_;
+    pos_ += n;
+    return p;
+  }
+  // Unrolled so the compiler can merge the bytes into one load.
+  template <std::size_t N>
+  std::uint64_t get_le() {
+    const auto* p = reinterpret_cast<const unsigned char*>(take(N));
+    std::uint64_t v = 0;
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i < N; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+    return v;
   }
   std::string_view data_;
   std::size_t pos_ = 0;
@@ -277,16 +302,38 @@ struct PodCodec {
 // Checkpoint persistence (exposed so tests and tooling can craft/inspect
 // files; campaigns only ever touch it through run_campaign).
 
+/// One trial's record in a checkpoint. The payload bytes live in the owning
+/// CampaignCheckpoint's buffer: read them with `CampaignCheckpoint::payload`.
 struct CheckpointEntry {
   std::uint64_t trial = 0;
-  std::string payload;
+  std::size_t offset = 0;  // first payload byte in CampaignCheckpoint::payloads
+  std::uint32_t size = 0;  // payload length in bytes
 };
 
+/// A set of encoded trial records. All payloads share one contiguous buffer,
+/// so building, decoding and merging a checkpoint allocates per checkpoint,
+/// never per trial (DESIGN.md §9).
 struct CampaignCheckpoint {
   std::uint64_t identity = 0;  // CampaignSpec::identity_hash() of the producer
   std::string build_tag;       // git-describe of the producing binary
   std::uint64_t trials = 0;
   std::vector<CheckpointEntry> entries;
+  ByteWriter payloads;  // every entry's payload, located by offset and size
+
+  std::string_view payload(const CheckpointEntry& e) const {
+    return payloads.view().substr(e.offset, e.size);
+  }
+  void add(std::uint64_t trial, std::string_view bytes) {
+    entries.push_back({trial, payloads.size(), static_cast<std::uint32_t>(bytes.size())});
+    payloads.put_bytes(bytes.data(), bytes.size());
+  }
+  /// Encode `record` through `Codec` straight into the buffer.
+  template <typename Codec, typename Record>
+  void add_record(std::uint64_t trial, const Record& record) {
+    const std::size_t at = payloads.size();
+    Codec::encode(payloads, record);
+    entries.push_back({trial, at, static_cast<std::uint32_t>(payloads.size() - at)});
+  }
 };
 
 /// git-describe tag baked into this binary (LORE_BUILD_TAG; "unknown" when
@@ -305,7 +352,9 @@ std::string encode_checkpoint(const CampaignCheckpoint& ck);
 /// and, for identity/build-tag mismatches, both the expected and found values
 /// so a mis-routed payload is diagnosable — and returns nullopt. The entry
 /// count is checked against the bytes left before anything is reserved.
-std::optional<CampaignCheckpoint> decode_checkpoint(std::string_view bytes,
+/// The checkpoint keeps `bytes` as its payload buffer: entries index into
+/// the frame, and no payload is copied.
+std::optional<CampaignCheckpoint> decode_checkpoint(std::string bytes,
                                                     const CampaignSpec& spec,
                                                     std::string_view source);
 
@@ -380,7 +429,7 @@ CampaignResult<Record> result_from_checkpoint(const CampaignSpec& spec,
   for (const auto& e : ck.entries) {
     const auto i = static_cast<std::size_t>(e.trial);
     if (i >= spec.trials || out.status[i] == TrialStatus::kOk) continue;
-    ByteReader r(e.payload);
+    ByteReader r(ck.payload(e));
     out.records[i] = Codec::decode(r);
     out.status[i] = TrialStatus::kOk;
     ++out.report.completed;
@@ -483,7 +532,7 @@ class PruneController {
 };
 
 /// Prune-stage hooks for `run_campaign_pruned`. With no `predict` hook every
-/// trial runs, as in `run_campaign_batched`. `predict` scores one chunk's
+/// trial runs, as in `run_campaign`. `predict` scores one chunk's
 /// trials — `benign[i - begin] = 1` marks trial i predicted-benign —
 /// from whatever descriptor the domain derives from the trial seed (the seed
 /// span holds `trial_seed(spec.base_seed, i)` for the chunk, the same seeds
@@ -512,27 +561,32 @@ namespace campaign_detail {
 
 /// The non-template half of the chunk engine: one invocation's resilience
 /// policy, tallies, metric handles (resolved once, never looked up per
-/// trial) and checkpoint log. `run_window` drives it from the typed loop.
+/// trial), checkpoint log and shard sink. `run_window` drives it from the
+/// typed loop.
 class ChunkEngine {
  public:
   using Clock = CancelToken::Clock;
 
-  /// `window_trials` trials are in play; `controller` is the prune breaker.
-  ChunkEngine(const CampaignSpec& spec, std::size_t window_trials, std::size_t chunk,
-              bool pruning, PruneController* controller);
+  /// Trials `window` are in play; `controller` is the prune breaker. With
+  /// `shard`, every completed record lands in it, one entry slot per window
+  /// trial in index order.
+  ChunkEngine(const CampaignSpec& spec, TrialRange window, std::size_t chunk, bool pruning,
+              PruneController* controller, CampaignCheckpoint* shard);
 
   std::size_t chunk() const { return chunk_; }
-  bool checkpointing() const { return checkpointing_; }
+  /// True when finished chunks must encode their records for `publish`.
+  bool encoding() const { return checkpointing_ || shard_ != nullptr; }
   /// The checkpoint on disk, when checkpointing and it validates.
   std::optional<CampaignCheckpoint> load() const {
     if (!checkpointing_) return std::nullopt;
     return load_checkpoint(spec_.checkpoint_path, spec_);
   }
-  /// Begin with `resumed` trials done. When work is left, `resumed_entries`
-  /// replace the file as its first frame — a stale, foreign or torn file is
-  /// never appended to.
-  void start(std::vector<CheckpointEntry> resumed_entries, std::size_t resumed, bool loaded,
-             bool work_left);
+  /// Begin with `resumed` trials done. When work is left, the `loaded`
+  /// checkpoint's entries replace the file as its first frame — a stale,
+  /// foreign or torn file is never appended to.
+  void start(std::optional<CampaignCheckpoint> loaded, std::size_t resumed, bool work_left);
+  /// An entry-less frame of this campaign (identity, build tag, trials).
+  CampaignCheckpoint frame() const;
 
   /// Only for a spec with an overall budget / a per-trial deadline.
   bool out_of_budget() const { return Clock::now() - t_start_ >= spec_.overall_budget; }
@@ -546,15 +600,15 @@ class ChunkEngine {
   /// Per-chunk tallies; `first` is the chunk's first trial index.
   void chunk_done(std::size_t first, std::size_t ok, std::size_t pruned,
                   std::size_t audits, std::size_t false_benign);
-  /// Append one frame holding a finished chunk's completed entries.
-  void append(std::vector<CheckpointEntry> entries);
+  /// Hand on a finished chunk's encoded records: appended to the checkpoint
+  /// file as one frame, and spliced into the shard's slots.
+  void publish(const CampaignCheckpoint& batch);
   /// Fill `report` from the final statuses and the tallies.
   void finish(CampaignReport& report, std::span<const TrialStatus> status);
 
  private:
-  CampaignCheckpoint frame(std::vector<CheckpointEntry> entries) const;
-
   const CampaignSpec& spec_;
+  const std::size_t window_begin_;
   const std::size_t window_trials_;
   std::size_t chunk_;
   bool checkpointing_;
@@ -566,6 +620,8 @@ class ChunkEngine {
   std::atomic<std::size_t> fresh_{0}, retries_{0}, timeout_attempts_{0}, suppressed_{0};
   std::atomic<std::size_t> audits_{0}, false_benign_{0}, checkpoints_written_{0};
   std::mutex io_mu_;   // serializes frame appends
+  CampaignCheckpoint* const shard_;
+  std::mutex shard_mu_;  // serializes splices into shard_
   std::mutex err_mu_;  // guards first_error_
   std::string first_error_;
   obs::Counter *completed_ = nullptr, *retried_ = nullptr, *timed_out_ = nullptr,
@@ -577,13 +633,13 @@ class ChunkEngine {
 
 /// Run trials [window.begin, window.end) of `spec`; slot k of the result is
 /// trial window.begin + k. Every public entry point is a view of this loop.
-/// With `encoded` (sized to the window), each chunk also encodes its
-/// completed records into their slots there, in parallel.
+/// With `shard`, each chunk also encodes its completed records into it, in
+/// parallel.
 template <typename Record, typename Codec, typename TrialFn>
 CampaignResult<Record> run_window(const CampaignSpec& spec, TrialRange window,
                                   TrialFn& trial, const PruneHooks<Record>& hooks,
                                   std::size_t chunk_request,
-                                  std::vector<CheckpointEntry>* encoded = nullptr) {
+                                  CampaignCheckpoint* shard = nullptr) {
   const std::size_t n = window.size();
   CampaignResult<Record> out;
   out.records.resize(n);
@@ -591,8 +647,8 @@ CampaignResult<Record> run_window(const CampaignSpec& spec, TrialRange window,
   out.report.trials = n;
 
   const bool pruning = static_cast<bool>(hooks.predict) && plain_campaign_spec(spec);
-  ChunkEngine engine(spec, n, resolve_trial_chunk(chunk_request), pruning,
-                     hooks.controller);
+  ChunkEngine engine(spec, window, resolve_trial_chunk(chunk_request), pruning,
+                     hooks.controller, shard);
 
   // Resume: decode every checkpointed record of the window into its slot.
   // The frames passed CRC and identity checks, so a record that does not
@@ -603,7 +659,7 @@ CampaignResult<Record> run_window(const CampaignSpec& spec, TrialRange window,
     for (const CheckpointEntry& e : ck->entries) {
       if (e.trial < window.begin || e.trial >= window.end) continue;
       const std::size_t k = static_cast<std::size_t>(e.trial) - window.begin;
-      ByteReader r(e.payload);
+      ByteReader r(ck->payload(e));
       out.records[k] = Codec::decode(r);
       out.status[k] = TrialStatus::kOk;
       ++resumed;
@@ -624,8 +680,7 @@ CampaignResult<Record> run_window(const CampaignSpec& spec, TrialRange window,
     todo = spec.max_trials_per_run;
     if (!sparse.empty()) sparse.resize(todo);
   }
-  engine.start(ck ? std::move(ck->entries) : std::vector<CheckpointEntry>{}, resumed,
-               ck.has_value(), todo > 0);
+  engine.start(std::move(ck), resumed, todo > 0);
 
   const double audit_fraction = pruning ? resolve_prune_audit(hooks.audit_fraction) : 0.0;
   // Decorrelate the audit subsample from the trial seed stream by default.
@@ -717,19 +772,15 @@ CampaignResult<Record> run_window(const CampaignSpec& spec, TrialRange window,
         if (hooks.on_executed) hooks.on_executed(i, out.records[k], predicted_benign, audited);
       }
       engine.chunk_done(window.begin + slot(jb), ok, pruned, audits, false_benign);
-      if (ok > 0 && (engine.checkpointing() || encoded != nullptr)) {
-        std::vector<CheckpointEntry> entries;
-        if (encoded == nullptr) entries.reserve(ok);
+      if (ok > 0 && engine.encoding()) {
+        CampaignCheckpoint batch = engine.frame();
+        batch.entries.reserve(ok);
         for (std::size_t j = jb; j < je; ++j) {
           const std::size_t k = slot(j);
-          if (out.status[k] != TrialStatus::kOk) continue;
-          ByteWriter w;
-          Codec::encode(w, out.records[k]);
-          CheckpointEntry e{window.begin + k, std::move(w).take()};
-          if (encoded) (*encoded)[k] = std::move(e);
-          else entries.push_back(std::move(e));
+          if (out.status[k] == TrialStatus::kOk)
+            batch.add_record<Codec>(window.begin + k, out.records[k]);
         }
-        if (encoded == nullptr) engine.append(std::move(entries));
+        engine.publish(batch);
       }
     });
 
@@ -761,25 +812,20 @@ CampaignResult<Record> run_campaign_pruned(const CampaignSpec& spec, TrialFn&& t
                                                     hooks, opt.chunk);
 }
 
-/// `run_campaign_pruned` with no prune stage.
+/// Run a campaign under `spec`: `run_campaign_pruned` with no prune stage.
 template <typename Record, typename Codec = PodCodec<Record>, typename TrialFn>
-CampaignResult<Record> run_campaign_batched(const CampaignSpec& spec, TrialFn&& trial,
-                                            const BatchOptions& opt = {}) {
+CampaignResult<Record> run_campaign(const CampaignSpec& spec, TrialFn&& trial,
+                                    const BatchOptions& opt = {}) {
   return run_campaign_pruned<Record, Codec>(spec, trial, PruneHooks<Record>{}, opt);
-}
-
-/// Run a campaign under `spec` with the default chunk size — the same engine
-/// and contract as `run_campaign_pruned`.
-template <typename Record, typename Codec = PodCodec<Record>, typename TrialFn>
-CampaignResult<Record> run_campaign(const CampaignSpec& spec, TrialFn&& trial) {
-  return run_campaign_pruned<Record, Codec>(spec, trial, PruneHooks<Record>{});
 }
 
 /// Worker half of the fabric hand-off: run trials [range.begin, range.end) of
 /// `spec` on the chunk engine — each seeded `trial_seed(spec.base_seed,
 /// global_index)`, the same contract as run_campaign — and return their
 /// records encoded through `Codec` as a LORECKP1-ready checkpoint (identity +
-/// build tag filled in, one entry per trial in index order). The spec's
+/// build tag filled in, one entry per trial in index order; each chunk
+/// encodes its records in parallel and splices them into the one payload
+/// buffer, so no trial gets its own allocation). The spec's
 /// resilience policy is ignored: the coordinator owns checkpoints, deadlines
 /// and budgets (DESIGN.md §12). Failed trials retry up to spec.max_retries
 /// times with backoff; if one still fails the shard throws as a unit (the
@@ -787,16 +833,15 @@ CampaignResult<Record> run_campaign(const CampaignSpec& spec, TrialFn&& trial) {
 template <typename Record, typename Codec = PodCodec<Record>, typename TrialFn>
 CampaignCheckpoint run_campaign_shard(const CampaignSpec& spec, TrialRange range,
                                       TrialFn&& trial) {
-  CampaignCheckpoint ck{spec.identity_hash(), checkpoint_build_tag(), spec.trials, {}};
+  CampaignCheckpoint ck{spec.identity_hash(), checkpoint_build_tag(), spec.trials, {}, {}};
   if (range.end > spec.trials) range.end = spec.trials;
   if (range.begin >= range.end) return ck;
   CampaignSpec plain = spec;
   plain.checkpoint_path.clear();
   plain.trial_deadline = plain.overall_budget = {};
   plain.max_trials_per_run = 0;
-  ck.entries.resize(range.size());
   const auto result = campaign_detail::run_window<Record, Codec>(
-      plain, range, trial, PruneHooks<Record>{}, 0, &ck.entries);
+      plain, range, trial, PruneHooks<Record>{}, 0, &ck);
   if (!result.report.complete())
     throw std::runtime_error("shard trial failed: " + result.report.first_error);
   return ck;

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/common/kernels.hpp"
 #include "src/obs/obs.hpp"
@@ -116,6 +117,8 @@ void parallel_for(std::size_t n, unsigned threads,
   // the determinism contract. Trials can be sub-microsecond, so latency is
   // sampled — every 16th trial by index (schedule-independent) — keeping the
   // common-path cost of an instrumented campaign to one branch per trial.
+  // Each strand keeps its samples and adds them to the shared histogram once
+  // when it ends, so no two workers write its cache lines trial by trial.
   constexpr std::size_t kLatencySampleStride = 16;
   obs::Histogram* latency = nullptr;
   if (obs::kCompiledIn && obs::enabled()) {
@@ -124,18 +127,23 @@ void parallel_for(std::size_t n, unsigned threads,
     registry.gauge("parallel.threads").set(static_cast<double>(team));
     latency = &registry.histogram("parallel.trial_latency_us");
   }
-  const auto run_one = [&](std::size_t i) {
-    if (latency && i % kLatencySampleStride == 0) {
-      const double start = obs::TraceRecorder::now_us();
-      fn(i);
-      latency->observe(obs::TraceRecorder::now_us() - start);
-    } else {
-      fn(i);
+  const auto run_range = [&](std::size_t begin, std::size_t end,
+                             std::vector<double>& samples) {
+    for (std::size_t i = begin; i < end; ++i) {
+      if (latency && i % kLatencySampleStride == 0) {
+        const double start = obs::TraceRecorder::now_us();
+        fn(i);
+        samples.push_back(obs::TraceRecorder::now_us() - start);
+      } else {
+        fn(i);
+      }
     }
   };
 
   if (team <= 1) {
-    for (std::size_t i = 0; i < n; ++i) run_one(i);
+    std::vector<double> samples;
+    run_range(0, n, samples);
+    if (latency) latency->observe_all(samples);
     return;
   }
   // One strand per worker; trials are claimed from a shared cursor so uneven
@@ -155,14 +163,15 @@ void parallel_for(std::size_t n, unsigned threads,
   for (unsigned w = 0; w < team; ++w) {
     pool.submit([&] {
       std::size_t my_claims = 0;
+      std::vector<double> samples;
       for (;;) {
         const std::size_t begin = cursor.fetch_add(claim, std::memory_order_relaxed);
         if (begin >= n) break;
         ++my_claims;
-        const std::size_t end = std::min(n, begin + claim);
-        for (std::size_t i = begin; i < end; ++i) run_one(i);
+        run_range(begin, std::min(n, begin + claim), samples);
       }
       if (claims_counter && my_claims) claims_counter->add(my_claims);
+      if (latency) latency->observe_all(samples);
     });
   }
   pool.wait();

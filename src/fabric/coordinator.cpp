@@ -125,11 +125,29 @@ void Coordinator::handle_connection(int fd, std::string peer_host,
                                     std::shared_ptr<std::mutex> send_mu) {
   std::optional<std::size_t> held_shard;
   std::size_t worker_index = static_cast<std::size_t>(-1);
+  std::string worker_name = "<unknown>";
+  CampaignSpec spec;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    spec = job_.spec;
+  }
 
   for (;;) {
     std::optional<Frame> msg = recv_frame(fd);
     if (!msg) break;
     const std::string type = msg->type();
+
+    // A result's payload is CRC-checked and parsed before taking the lock:
+    // that needs only the frame and this connection's own state, so other
+    // workers' results and directives are not held up behind it.
+    std::int64_t shard = -1;
+    std::optional<CampaignCheckpoint> ck;
+    if (type == "result") {
+      const obs::Json* s = msg->head.find("shard");
+      shard = s && s->is_number() ? s->as_int() : -1;
+      ck = decode_checkpoint(std::move(msg->body), spec,
+                             "shard " + std::to_string(shard) + " from " + worker_name);
+    }
 
     Frame reply;
     {
@@ -147,20 +165,21 @@ void Coordinator::handle_connection(int fd, std::string peer_host,
           if (f->type() == obs::Json::Type::kString) info.flight = f->as_string();
         info.host = std::move(peer_host);
         info.alive = true;
+        worker_name = info.name;
         worker_index = workers_.size();
         workers_.push_back(std::move(info));
       } else if (type == "result") {
-        const obs::Json* s = msg->head.find("shard");
-        const std::int64_t shard = s && s->is_number()
-                                       ? s->as_int()
-                                       : -1;
-        const std::string source =
-            "shard " + std::to_string(shard) + " from " +
-            (worker_index < workers_.size() ? workers_[worker_index].name
-                                            : std::string("<unknown>"));
-        std::optional<CampaignCheckpoint> ck =
-            decode_checkpoint(msg->body, job_.spec, source);
+        // Under the lock only the first-wins merge and the table update.
         if (ck && shard >= 0) {
+          // The merged result ends with one entry per trial: size it once,
+          // from the first result's payload size, instead of regrowing it
+          // shard by shard. That size comes from a peer, so the guess is
+          // capped at one maximal frame body.
+          if (merged_.entries.empty() && !ck->entries.empty()) {
+            merged_.entries.reserve(merged_.trials);
+            merged_.payloads.reserve(std::min<std::size_t>(
+                merged_.trials * ck->entries.front().size, kMaxBodyBytes));
+          }
           const std::size_t fresh = merge_checkpoint_entries(merged_, *ck, seen_);
           duplicates_discarded_ += ck->entries.size() - fresh;
           trials_done_ += fresh;

@@ -34,13 +34,15 @@ std::uint32_t get_u32_le(const unsigned char* p) {
 bool send_frame(int fd, const Frame& frame) {
   const std::string head = frame.head.dump();
   if (head.size() > kMaxHeadBytes || frame.body.size() > kMaxBodyBytes) return false;
-  std::string wire;
-  wire.reserve(8 + head.size() + frame.body.size());
-  put_u32_le(wire, static_cast<std::uint32_t>(head.size()));
-  put_u32_le(wire, static_cast<std::uint32_t>(frame.body.size()));
-  wire += head;
-  wire += frame.body;
-  return obs::send_all(fd, wire.data(), wire.size());
+  // Prefix and head in one small buffer; the body goes out from where it
+  // lies, in the same gathered write.
+  std::string prefix;
+  prefix.reserve(8 + head.size());
+  put_u32_le(prefix, static_cast<std::uint32_t>(head.size()));
+  put_u32_le(prefix, static_cast<std::uint32_t>(frame.body.size()));
+  prefix += head;
+  const std::string_view parts[] = {prefix, frame.body};
+  return obs::send_all(fd, parts);
 }
 
 std::optional<Frame> recv_frame(int fd) {

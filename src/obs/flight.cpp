@@ -11,6 +11,7 @@
 #include <cstring>
 #include <fstream>
 
+#include "src/obs/crc32.hpp"
 #include "src/obs/span.hpp"
 
 namespace lore::obs {
@@ -63,27 +64,6 @@ struct FlightSlot {
   std::uint32_t crc;
 };
 static_assert(sizeof(FlightSlot) == kFlightRecordBytes);
-
-/// CRC-32 (IEEE, reflected) with a table built at namespace scope so the
-/// record() path — and the signal path — never computes it lazily.
-struct CrcTable {
-  std::uint32_t t[256];
-  CrcTable() {
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-      t[i] = c;
-    }
-  }
-};
-const CrcTable kCrc;
-
-std::uint32_t crc32(const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint32_t c = 0xffffffffu;
-  for (std::size_t i = 0; i < n; ++i) c = kCrc.t[(c ^ p[i]) & 0xff] ^ (c >> 8);
-  return c ^ 0xffffffffu;
-}
 
 std::size_t round_up_pow2(std::size_t n) {
   std::size_t p = 1;

@@ -46,6 +46,27 @@ void Histogram::observe(double x) {
   atomic_max(max_, x);
 }
 
+void Histogram::observe_all(std::span<const double> xs) {
+  if (xs.empty()) return;
+  std::vector<std::uint64_t> counts(buckets_.size(), 0);
+  double sum = 0.0;
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -std::numeric_limits<double>::infinity();
+  for (const double x : xs) {
+    ++counts[static_cast<std::size_t>(std::lower_bound(bounds_.begin(), bounds_.end(), x) -
+                                      bounds_.begin())];
+    sum += x;
+    lo = std::min(lo, x);
+    hi = std::max(hi, x);
+  }
+  for (std::size_t i = 0; i < counts.size(); ++i)
+    if (counts[i]) buckets_[i].fetch_add(counts[i], std::memory_order_relaxed);
+  count_.fetch_add(xs.size(), std::memory_order_relaxed);
+  atomic_add(sum_, sum);
+  atomic_min(min_, lo);
+  atomic_max(max_, hi);
+}
+
 double Histogram::mean() const {
   const auto n = count();
   return n ? sum() / static_cast<double>(n) : 0.0;

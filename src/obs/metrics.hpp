@@ -22,6 +22,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -60,6 +61,9 @@ class Histogram {
   explicit Histogram(std::vector<double> upper_bounds);
 
   void observe(double x);
+  /// Observe every value of `xs` with one atomic update per touched bucket
+  /// — for a thread that batches its samples instead of contending per value.
+  void observe_all(std::span<const double> xs);
 
   std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   double sum() const { return sum_.load(std::memory_order_relaxed); }

@@ -6,7 +6,10 @@
 #include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <sys/uio.h>
 #include <unistd.h>
+
+#include <vector>
 
 namespace lore::obs {
 
@@ -81,16 +84,31 @@ long recv_retry(int fd, void* buf, std::size_t n) {
 }
 
 bool send_all(int fd, const void* data, std::size_t n) {
-  const char* p = static_cast<const char*>(data);
-  std::size_t off = 0;
-  while (off < n) {
-    const ssize_t w = ::send(fd, p + off, n - off, MSG_NOSIGNAL);
+  const std::string_view part(static_cast<const char*>(data), n);
+  return send_all(fd, std::span<const std::string_view>(&part, 1));
+}
+
+bool send_all(int fd, std::span<const std::string_view> parts) {
+  std::vector<iovec> iov;
+  for (const std::string_view p : parts)
+    if (!p.empty()) iov.push_back({const_cast<char*>(p.data()), p.size()});
+  for (std::size_t i = 0; i < iov.size();) {
+    msghdr msg{};
+    msg.msg_iov = iov.data() + i;
+    msg.msg_iovlen = iov.size() - i;
+    const ssize_t w = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR) continue;
       return false;
     }
     if (w == 0) return false;
-    off += static_cast<std::size_t>(w);
+    // Skip the parts sent whole; trim the one sent in part.
+    auto sent = static_cast<std::size_t>(w);
+    for (; i < iov.size() && sent >= iov[i].iov_len; ++i) sent -= iov[i].iov_len;
+    if (sent > 0) {
+      iov[i].iov_base = static_cast<char*>(iov[i].iov_base) + sent;
+      iov[i].iov_len -= sent;
+    }
   }
   return true;
 }

@@ -12,7 +12,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 
 namespace lore::obs {
 
@@ -47,6 +49,10 @@ bool set_socket_timeout(int fd, int timeout_ms);
 /// Write all of `data`, retrying EINTR and short writes (MSG_NOSIGNAL so a
 /// dead peer surfaces as an error, not SIGPIPE). True when every byte went.
 bool send_all(int fd, const void* data, std::size_t n);
+
+/// Write `parts` back to back as one stream, gathered by sendmsg(2) so no
+/// part is copied into a joint buffer first; same retry and error rules.
+bool send_all(int fd, std::span<const std::string_view> parts);
 
 /// Read exactly `n` bytes, retrying EINTR and short reads. False on EOF or
 /// error before `n` bytes arrive.

@@ -138,7 +138,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
   spec.trials = n_points * runs;
   if (spec.domain.empty()) spec.domain = experiment_domain(cfg, schedulers);
 
-  auto campaign = lore::run_campaign_batched<RunSample, RunSampleCodec>(
+  auto campaign = lore::run_campaign<RunSample, RunSampleCodec>(
       spec, [&](std::size_t t, lore::Rng&, const lore::CancelToken& cancel) {
         const std::size_t pi = t / runs;
         const std::size_t run = t % runs;

@@ -1,4 +1,4 @@
-// Contract tests for the chunk engine behind `run_campaign_batched` and every
+// Contract tests for the chunk engine behind `run_campaign` and every
 // other campaign entry point (DESIGN.md §9, §11): records and statuses equal
 // a serial per-trial oracle across chunk sizes and thread counts, per-trial
 // RNG stream identity, retry and failure degradation, and resilient specs
@@ -56,7 +56,7 @@ TEST(BatchCampaign, MatchesReferenceAcrossChunkSizesAndThreads) {
     for (const unsigned threads : {1u, 4u, 0u}) {
       BatchOptions opt;
       opt.chunk = chunk;
-      const auto batched = run_campaign_batched<Sample>(plain_spec(1000, threads), trial, opt);
+      const auto batched = run_campaign<Sample>(plain_spec(1000, threads), trial, opt);
       EXPECT_EQ(reference, batched.records) << "chunk=" << chunk << " threads=" << threads;
       EXPECT_EQ(batched.status, std::vector<TrialStatus>(1000, TrialStatus::kOk));
       EXPECT_EQ(batched.report.completed, 1000u);
@@ -68,7 +68,7 @@ TEST(BatchCampaign, MatchesReferenceAcrossChunkSizesAndThreads) {
 TEST(BatchCampaign, TrialRngStreamIsTheEngineContract) {
   // Trial i must see a fresh Rng seeded with trial_seed(base_seed, i) —
   // exactly the documented determinism contract.
-  const auto result = run_campaign_batched<std::uint64_t>(
+  const auto result = run_campaign<std::uint64_t>(
       plain_spec(257, 0),
       [](std::size_t, Rng& rng, const CancelToken&) { return rng.next_u64(); });
   ASSERT_EQ(result.report.completed, 257u);
@@ -82,7 +82,7 @@ TEST(BatchCampaign, PersistentFailuresDegradeToFailedStatus) {
   CampaignSpec spec = plain_spec(100, 4);
   spec.max_retries = 2;
   spec.retry_backoff = std::chrono::milliseconds(0);
-  const auto result = run_campaign_batched<Sample>(
+  const auto result = run_campaign<Sample>(
       spec, [](std::size_t t, Rng&, const CancelToken&) {
         if (t % 10 == 3) throw std::runtime_error("trial exploded");
         return Sample{t * 2, t};
@@ -110,7 +110,7 @@ TEST(BatchCampaign, TransientFailuresRecoverViaRetry) {
   spec.max_retries = 1;
   spec.retry_backoff = std::chrono::milliseconds(0);
   std::vector<std::atomic<int>> attempts(64);
-  const auto result = run_campaign_batched<Sample>(
+  const auto result = run_campaign<Sample>(
       spec, [&](std::size_t t, Rng& rng, const CancelToken&) {
         if (t % 8 == 1 && attempts[t].fetch_add(1) == 0)
           throw std::runtime_error("transient");
@@ -156,13 +156,13 @@ TEST(BatchCampaign, ResilientSpecsMatchPlainRun) {
     for (CampaignSpec spec : {with_deadline, with_budget, with_checkpoint}) {
       spec.threads = threads;
       std::filesystem::remove(with_checkpoint.checkpoint_path);
-      const auto result = run_campaign_batched<Sample>(spec, trial);
+      const auto result = run_campaign<Sample>(spec, trial);
       EXPECT_TRUE(result.report.complete()) << "threads=" << threads;
       EXPECT_EQ(result.records, reference) << "threads=" << threads;
     }
     CampaignSpec capped = with_cap;
     capped.threads = threads;
-    const auto result = run_campaign_batched<Sample>(capped, trial);
+    const auto result = run_campaign<Sample>(capped, trial);
     EXPECT_EQ(result.report.completed, 120u);
     EXPECT_EQ(result.report.skipped, 180u);
     for (std::size_t t = 0; t < 300; ++t) {
@@ -177,7 +177,7 @@ TEST(BatchCampaign, ResilientSpecsMatchPlainRun) {
 }
 
 TEST(BatchCampaign, ZeroTrials) {
-  const auto result = run_campaign_batched<Sample>(
+  const auto result = run_campaign<Sample>(
       plain_spec(0, 4),
       [](std::size_t t, Rng&, const CancelToken&) { return Sample{0, t}; });
   EXPECT_EQ(result.records.size(), 0u);

@@ -52,7 +52,7 @@ TEST(PruneCampaign, FullAuditIsBitIdenticalToUnpruned) {
   const auto trial = [](std::size_t t, Rng& rng, const CancelToken&) {
     return make_trial(t, rng);
   };
-  const auto reference = run_campaign_batched<Sample>(plain_spec(1000, 1), trial);
+  const auto reference = run_campaign<Sample>(plain_spec(1000, 1), trial);
   for (const unsigned threads : {1u, 2u, 4u, 8u}) {
     for (const std::size_t chunk : {1u, 7u, 64u, 1000u}) {
       auto hooks = benign_even_hooks();
@@ -204,7 +204,7 @@ TEST(PruneCampaign, NoPredictHookMeansNoPruning) {
   const auto trial = [](std::size_t t, Rng& rng, const CancelToken&) {
     return make_trial(t, rng);
   };
-  const auto reference = run_campaign_batched<Sample>(plain_spec(300, 2), trial);
+  const auto reference = run_campaign<Sample>(plain_spec(300, 2), trial);
   const auto pruned =
       run_campaign_pruned<Sample>(plain_spec(300, 2), trial, PruneHooks<Sample>{});
   EXPECT_EQ(pruned.records, reference.records);

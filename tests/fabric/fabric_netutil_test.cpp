@@ -1,8 +1,9 @@
 // Transport-layer boundary cases for the fabric's socket helpers: recv_all
 // against every flavor of early EOF (0, 1, n-1 bytes delivered), send_all
-// through kernel-buffer back-pressure (the short-write retry path), and
-// recv_frame against truncated and oversized wire prefixes — the exact
-// failure shapes a SIGKILLed worker leaves on the coordinator's sockets.
+// through kernel-buffer back-pressure, the gathered send_all through a
+// forced short write (the resume-inside-a-part path), and recv_frame
+// against truncated and oversized wire prefixes — the exact failure shapes
+// a SIGKILLed worker leaves on the coordinator's sockets.
 //
 // All tests run over AF_UNIX socketpairs: no ports, no listeners, and a
 // closed peer is visible immediately.
@@ -11,8 +12,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -105,6 +108,28 @@ TEST(FabricNetutil, SendAllSurvivesKernelBufferBackPressure) {
   EXPECT_TRUE(obs::send_all(p.a, out.data(), n));
   reader.join();
   EXPECT_EQ(std::memcmp(out.data(), in.data(), n), 0);
+}
+
+TEST(FabricNetutil, GatheredSendAllResumesInsideAPartAfterAShortWrite) {
+  // Parts in order, one of them empty. A blocking send returns short only
+  // when its send timeout fires with some bytes queued: the reader stalls
+  // past the 200 ms timeout once, so the first sendmsg comes back partway
+  // through `big`, then drains in time for the second call. send_all must
+  // resume exactly where it stopped.
+  Pair p;
+  ASSERT_TRUE(obs::set_socket_timeout(p.a, 200));
+  std::string big(3u << 20, '\0');
+  for (std::size_t i = 0; i < big.size(); ++i) big[i] = static_cast<char>(i * 131u + i / 7);
+  const std::string_view parts[] = {"head:", "", big, "tail"};
+  const std::string expected = std::string("head:") + big + "tail";
+  std::string in(expected.size(), '\0');
+  std::thread reader([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    EXPECT_TRUE(obs::recv_all(p.b, in.data(), in.size()));
+  });
+  EXPECT_TRUE(obs::send_all(p.a, parts));
+  reader.join();
+  EXPECT_TRUE(in == expected);
 }
 
 TEST(FabricNetutil, SendAllFailsOnClosedPeerWithoutSigpipe) {

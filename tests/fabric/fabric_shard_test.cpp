@@ -2,7 +2,10 @@
 // merge semantics (overlaps, duplicates), and the decode_checkpoint
 // diagnostics — including the identity-mismatch message carrying BOTH the
 // expected and found hashes plus the payload's build tag, and a CRC-valid
-// frame whose entry count no payload could hold.
+// frame whose entry count no payload could hold. The LORECKP1 bytes are
+// pinned by a golden frame, every truncation and a forged payload length are
+// rejected without throwing, and the slice-by-8 CRC-32 is checked against a
+// bytewise oracle.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -10,10 +13,12 @@
 #include <filesystem>
 #include <fstream>
 #include <numeric>
+#include <random>
 
 #include "src/arch/fault.hpp"
 #include "src/arch/workloads.hpp"
 #include "src/fabric/shard.hpp"
+#include "src/obs/crc32.hpp"
 
 namespace {
 
@@ -157,7 +162,7 @@ TEST_F(MergeFixture, EncodeDecodeRoundtrip) {
   ASSERT_EQ(back->entries.size(), ck.entries.size());
   for (std::size_t i = 0; i < ck.entries.size(); ++i) {
     EXPECT_EQ(back->entries[i].trial, ck.entries[i].trial);
-    EXPECT_EQ(back->entries[i].payload, ck.entries[i].payload);
+    EXPECT_EQ(back->payload(back->entries[i]), ck.payload(ck.entries[i]));
   }
 }
 
@@ -206,8 +211,9 @@ TEST_F(MergeFixture, IdentityMismatchMessageNamesBothHashes) {
   EXPECT_NE(err.find(checkpoint_build_tag()), std::string::npos) << err;
 }
 
-/// CRC-32 (IEEE 802.3, reflected) — the LORECKP1 trailer, recomputed here
-/// so the test can forge a frame that passes the CRC check.
+/// Bytewise CRC-32 (IEEE 802.3, reflected): the oracle for obs::crc32, and
+/// the LORECKP1 trailer recomputed so a test can forge a frame that passes
+/// the CRC check.
 std::uint32_t crc32(std::string_view bytes) {
   std::array<std::uint32_t, 256> table{};
   for (std::uint32_t i = 0; i < 256; ++i) {
@@ -218,6 +224,13 @@ std::uint32_t crc32(std::string_view bytes) {
   std::uint32_t crc = 0xffffffffu;
   for (const char ch : bytes) crc = (crc >> 8) ^ table[(crc ^ static_cast<std::uint8_t>(ch)) & 0xffu];
   return crc ^ 0xffffffffu;
+}
+
+/// A frame of `body` (possibly edited) with its CRC-32 trailer recomputed.
+std::string recrc(std::string body) {
+  const std::uint32_t crc = crc32(body);
+  for (int i = 0; i < 4; ++i) body.push_back(static_cast<char>(crc >> (8 * i)));
+  return body;
 }
 
 TEST_F(MergeFixture, HostileEntryCountIsRejectedWithoutAllocating) {
@@ -233,8 +246,7 @@ TEST_F(MergeFixture, HostileEntryCountIsRejectedWithoutAllocating) {
   const std::uint64_t count = std::uint64_t{1} << 60;
   for (int i = 0; i < 8; ++i)  // the entry count is the body's last u64
     body[body.size() - 8 + i] = static_cast<char>(count >> (8 * i));
-  const std::uint32_t crc = crc32(body);
-  for (int i = 0; i < 4; ++i) body.push_back(static_cast<char>(crc >> (8 * i)));
+  body = recrc(std::move(body));
 
   testing::internal::CaptureStderr();
   std::optional<CampaignCheckpoint> back;
@@ -251,6 +263,110 @@ TEST_F(MergeFixture, HostileEntryCountIsRejectedWithoutAllocating) {
   testing::internal::GetCapturedStderr();
   EXPECT_FALSE(back.has_value());
   std::filesystem::remove(path);
+}
+
+TEST_F(MergeFixture, EveryTruncatedFrameIsRejectedWithoutThrowing) {
+  const std::string wire = encode_checkpoint(shard(0, 20));
+  const std::string body = wire.substr(0, wire.size() - 4);
+  testing::internal::CaptureStderr();
+  for (std::size_t len = 0; len < wire.size(); ++len) {
+    std::optional<CampaignCheckpoint> back;
+    // As cut (the CRC no longer matches) ...
+    EXPECT_NO_THROW(back = decode_checkpoint(wire.substr(0, len), spec_, "cut"));
+    EXPECT_FALSE(back.has_value()) << "prefix " << len;
+    // ... and with the CRC forged, so the parser meets the short body.
+    if (len < body.size()) {
+      EXPECT_NO_THROW(back = decode_checkpoint(recrc(body.substr(0, len)), spec_, "cut"));
+      EXPECT_FALSE(back.has_value()) << "body prefix " << len;
+    }
+  }
+  testing::internal::GetCapturedStderr();
+  ASSERT_TRUE(decode_checkpoint(wire, spec_, "whole").has_value());
+}
+
+TEST_F(MergeFixture, InflatedPayloadLengthIsRejectedWithoutThrowing) {
+  const std::string wire = encode_checkpoint(shard(0, 3));
+  const std::string body = wire.substr(0, wire.size() - 4);
+  // Header: magic, version, identity, build tag, trials, entry count; each
+  // entry is u64 trial, u32 length, payload.
+  const std::size_t first_entry = 8 + 4 + 8 + 4 + checkpoint_build_tag().size() + 8 + 8;
+  const std::size_t entry_bytes = (body.size() - first_entry) / 3;
+  for (std::size_t entry = 0; entry < 3; ++entry) {
+    const std::size_t at = first_entry + entry * entry_bytes + 8;
+    for (const std::uint32_t delta : {1u, 0x7fffffffu}) {
+      std::string forged = body;
+      std::uint32_t len = 0;
+      for (int i = 0; i < 4; ++i)
+        len |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(forged[at + i])) << (8 * i);
+      len += delta;
+      for (int i = 0; i < 4; ++i) forged[at + i] = static_cast<char>(len >> (8 * i));
+      testing::internal::CaptureStderr();
+      std::optional<CampaignCheckpoint> back;
+      EXPECT_NO_THROW(back = decode_checkpoint(recrc(forged), spec_, "forged"));
+      testing::internal::GetCapturedStderr();
+      EXPECT_FALSE(back.has_value()) << "entry " << entry << " +" << delta;
+    }
+  }
+
+  // The file loader's frame walk bounds the same length field.
+  std::string forged = body;
+  forged[first_entry + 8 + 3] = 0x7f;
+  const std::string path = ::testing::TempDir() + "inflated_length.ckpt";
+  std::ofstream(path, std::ios::binary) << recrc(forged);
+  testing::internal::CaptureStderr();
+  std::optional<CampaignCheckpoint> back;
+  EXPECT_NO_THROW(back = load_checkpoint(path, spec_));
+  testing::internal::GetCapturedStderr();
+  EXPECT_FALSE(back.has_value());
+  std::filesystem::remove(path);
+}
+
+std::string to_hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    out.push_back(kDigits[static_cast<std::uint8_t>(c) >> 4]);
+    out.push_back(kDigits[static_cast<std::uint8_t>(c) & 0xf]);
+  }
+  return out;
+}
+
+TEST(CheckpointWire, GoldenFrameBytes) {
+  // LORECKP1 is a file and wire format (DESIGN.md §9): these bytes must not
+  // change with the in-memory layout. Entries keep their order, including an
+  // empty payload and bytes that are not text.
+  CampaignCheckpoint ck;
+  ck.identity = 0x0123456789abcdefULL;
+  ck.build_tag = "golden";
+  ck.trials = 10;
+  ck.add(2, "abc");
+  ck.add(7, std::string("\x00\xff\x10zero", 7));
+  ck.add(0, "");
+  EXPECT_EQ(to_hex(encode_checkpoint(ck)),
+            "4c4f5245434b503101000000efcdab896745230106000000676f6c64656e0a0000000000"
+            "0000030000000000000002000000000000000300000061626307000000000000000700"
+            "000000ff107a65726f00000000000000000000000061fcab39");
+}
+
+TEST(Crc32, KnownAnswer) {
+  EXPECT_EQ(obs::crc32("123456789", 9), 0xcbf43926u);
+  EXPECT_EQ(obs::crc32(nullptr, 0), 0u);
+}
+
+TEST(Crc32, SliceByEightEqualsBytewiseOracle) {
+  std::mt19937_64 rng(20231018);
+  std::string buf(4096 + 8, '\0');
+  for (char& c : buf) c = static_cast<char>(rng());
+  std::vector<std::size_t> lengths(65);
+  std::iota(lengths.begin(), lengths.end(), 0);  // every tail length
+  for (int i = 0; i < 200; ++i) lengths.push_back(rng() % 4097);
+  lengths.push_back(4096);
+  for (const std::size_t len : lengths)
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      const std::string_view view(buf.data() + offset, len);
+      ASSERT_EQ(obs::crc32(view.data(), view.size()), crc32(view))
+          << "length " << len << " offset " << offset;
+    }
 }
 
 TEST_F(MergeFixture, TrialCountMismatchMessageNamesBothCounts) {

@@ -1,6 +1,7 @@
 // Histogram edge cases and serialization round trips (satellite of the live
 // telemetry PR): empty/single-observation percentiles, exact bucket-edge
-// placement, the overflow bucket, the first-registration-wins contract for
+// placement, the overflow bucket, batched observation, the
+// first-registration-wins contract for
 // mismatched bucket layouts, and a full lore.metrics.v1 JSON round trip.
 #include <gtest/gtest.h>
 
@@ -60,6 +61,21 @@ TEST(HistogramEdge, OverflowBucketCatchesEverythingAboveTheLastEdge) {
   EXPECT_LE(h.percentile(0.99), 1e9);
   EXPECT_DOUBLE_EQ(h.percentile(1.0), 1e9);
   EXPECT_DOUBLE_EQ(h.max(), 1e9);
+}
+
+TEST(HistogramEdge, ObserveAllEqualsOneObservePerValue) {
+  // Values on both sides of every edge, exactly on edges, and in overflow.
+  const std::vector<double> xs = {0.5, 1.0, 1.5, 2.0, 2.0, 2.5, 3.0, 7.0, -1.0, 0.25};
+  Histogram one_by_one(std::vector<double>{1.0, 2.0, 3.0});
+  Histogram batched(std::vector<double>{1.0, 2.0, 3.0});
+  for (const double x : xs) one_by_one.observe(x);
+  batched.observe_all(xs);
+  batched.observe_all({});  // an empty batch changes nothing
+  EXPECT_EQ(batched.count(), one_by_one.count());
+  EXPECT_EQ(batched.bucket_counts(), one_by_one.bucket_counts());
+  EXPECT_DOUBLE_EQ(batched.sum(), one_by_one.sum());
+  EXPECT_DOUBLE_EQ(batched.min(), -1.0);
+  EXPECT_DOUBLE_EQ(batched.max(), 7.0);
 }
 
 TEST(HistogramEdge, ResetRestoresTheEmptyState) {

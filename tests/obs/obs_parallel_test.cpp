@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <thread>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "src/arch/workloads.hpp"
 #include "src/circuit/characterize.hpp"
 #include "src/circuit/liberty.hpp"
+#include "src/common/parallel.hpp"
 #include "src/obs/obs.hpp"
 
 namespace {
@@ -89,6 +91,28 @@ TEST(ObsParallel, ConcurrentSpansKeepPerThreadNesting) {
     EXPECT_EQ(e.depth, e.name == "outer" ? 0u : 1u);
   rec.clear();
   rec.set_enabled(was);
+}
+
+// parallel_for samples the latency of every 16th trial by index; each strand
+// batches its samples into the shared histogram when it ends. Either way the
+// histogram holds exactly ceil(n / 16) observations, at any team size.
+TEST(ObsParallel, ParallelForSamplesEverySixteenthTrialLatency) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "instrumentation compiled out";
+  const bool was = obs::enabled();
+  obs::set_enabled(true);
+  auto& reg = obs::MetricsRegistry::global();
+  constexpr std::size_t kTrials = 1001;
+  for (const unsigned threads : {1u, 4u}) {
+    reg.reset();
+    std::atomic<std::size_t> ran{0};
+    parallel_for(kTrials, threads,
+                 [&ran](std::size_t) { ran.fetch_add(1, std::memory_order_relaxed); });
+    EXPECT_EQ(ran.load(), kTrials);
+    EXPECT_EQ(reg.histogram("parallel.trial_latency_us").count(), (kTrials + 15) / 16)
+        << threads << " threads";
+  }
+  reg.reset();
+  obs::set_enabled(was);
 }
 
 /// Snapshot of just the campaign counters after a fresh campaign run.

@@ -83,16 +83,17 @@ TEST(Checkpoint, RoundTripPreservesEntries) {
   ck.identity = spec.identity_hash();
   ck.build_tag = checkpoint_build_tag();
   ck.trials = spec.trials;
-  ck.entries = {{2, "payload-two"}, {7, std::string("\x00\xff zero", 7)}};
+  ck.add(2, "payload-two");
+  ck.add(7, std::string("\x00\xff zero", 7));
   ASSERT_TRUE(write_checkpoint(spec.checkpoint_path, ck));
 
   const auto loaded = load_checkpoint(spec.checkpoint_path, spec);
   ASSERT_TRUE(loaded.has_value());
   ASSERT_EQ(loaded->entries.size(), 2u);
   EXPECT_EQ(loaded->entries[0].trial, 2u);
-  EXPECT_EQ(loaded->entries[0].payload, "payload-two");
+  EXPECT_EQ(loaded->payload(loaded->entries[0]), "payload-two");
   EXPECT_EQ(loaded->entries[1].trial, 7u);
-  EXPECT_EQ(loaded->entries[1].payload, ck.entries[1].payload);
+  EXPECT_EQ(loaded->payload(loaded->entries[1]), ck.payload(ck.entries[1]));
 }
 
 TEST(Checkpoint, MissingFileIsNotAnError) {
@@ -151,7 +152,7 @@ TEST(Checkpoint, StaleBuildTagIsRejected) {
   ck.identity = spec.identity_hash();
   ck.build_tag = "stale-build";
   ck.trials = spec.trials;
-  ck.entries = {{0, "old payload"}};
+  ck.add(0, "old payload");
   ASSERT_TRUE(write_checkpoint(spec.checkpoint_path, ck));
   EXPECT_FALSE(load_checkpoint(spec.checkpoint_path, spec).has_value());
 }
@@ -269,7 +270,7 @@ TEST(Checkpoint, StaleOrForeignFileIsReplacedNotAppendedTo) {
   stale.identity = spec.identity_hash();
   stale.build_tag = "stale-build";
   stale.trials = spec.trials;
-  stale.entries = {{0, std::string(sizeof(ProbeRecord), 'x')}};
+  stale.add(0, std::string(sizeof(ProbeRecord), 'x'));
   ASSERT_TRUE(write_checkpoint(spec.checkpoint_path, stale));
   testing::internal::CaptureStderr();
   const auto rerun = run_probe(spec);
