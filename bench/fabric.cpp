@@ -27,6 +27,9 @@ using namespace lore;
 constexpr std::size_t kTrials = 4000;
 constexpr std::size_t kScale = 16;
 constexpr std::uint64_t kSeed = 42;
+/// Timed sections report the best of kReps runs: single runs of the
+/// millisecond-scale sections jitter by more than the 10 % `--check` gate.
+constexpr int kReps = 5;
 
 obs::Json campaign_params() {
   obs::Json params = obs::Json::object();
@@ -50,6 +53,9 @@ std::vector<arch::FaultRecord> run_fleet(std::size_t workers, double& seconds) {
   const auto spec = fabric::resolve_job_spec("arch.fault", params, campaign_spec());
   fabric::CoordinatorConfig cfg;
   cfg.expected_workers = static_cast<unsigned>(workers);
+  // No scrape thread: finish() joins it only after its current 250 ms sleep,
+  // which would round every timed run up to that tick.
+  cfg.scrape_interval = std::chrono::milliseconds(0);
   fabric::Coordinator coord;
   if (!spec || !coord.bind(cfg)) return {};
 
@@ -110,7 +116,6 @@ void run_handoff_report() {
   const std::vector<arch::FaultRecord> records = handoff_records();
   const std::vector<TrialRange> ranges = shard_trial_ranges(kHandoffEntries, kHandoffShards);
   const std::size_t n = ranges.size();
-  constexpr int kReps = 5;
 
   Table t({"phase", "ms", "entries_per_s"});
   const auto row = [&t](const char* phase, double s) {
@@ -200,14 +205,14 @@ void run_experiment_report() {
   bench::print_header("Fabric fleet throughput",
                       "Sharded multi-process campaign vs single-process, matmul "
                       "scale " + std::to_string(kScale) + ", " +
-                      std::to_string(kTrials) + " register-fault trials. Speedup is\n"
+                      std::to_string(kTrials) + " register-fault trials, best of " +
+                      std::to_string(kReps) + ". Speedup is\n"
                       "bounded by the host's core count (this table is honest, not ideal).");
 
   const auto w = fabric::workload_from_params(campaign_params());
   const arch::FaultInjector inj(*w);
-  double base_s = 0.0;
   std::vector<arch::FaultRecord> reference;
-  base_s = bench::timed_seconds([&] {
+  const double base_s = bench::best_of_seconds(kReps, [&] {
     reference = inj.campaign_run(campaign_spec(), arch::FaultTarget::kRegister).records;
   });
 
@@ -215,15 +220,20 @@ void run_experiment_report() {
   t.add_row({"single-process", "-", fmt_sig(base_s, 3),
              fmt_sig(kTrials / base_s, 4), "1.00", "-"});
   for (const std::size_t workers : {1u, 2u, 4u}) {
-    double s = 0.0;
-    const auto records = run_fleet(workers, s);
-    t.add_row({"fabric", std::to_string(workers), fmt_sig(s, 3),
-               fmt_sig(kTrials / s, 4), fmt_sig(base_s / s, 3),
-               records == reference ? "yes" : "NO"});
+    double best_s = 0.0;
+    bool identical = true;
+    for (int rep = 0; rep < kReps; ++rep) {
+      double s = 0.0;
+      identical = run_fleet(workers, s) == reference && identical;
+      best_s = rep == 0 ? s : std::min(best_s, s);
+    }
+    t.add_row({"fabric", std::to_string(workers), fmt_sig(best_s, 3),
+               fmt_sig(kTrials / best_s, 4), fmt_sig(base_s / best_s, 3),
+               identical ? "yes" : "NO"});
   }
   bench::print_table(t);
-  bench::print_note("identical = merged fleet records match the single-process run "
-                    "bit for bit (the fabric's correctness contract).");
+  bench::print_note("identical = merged fleet records of every run match the "
+                    "single-process run bit for bit (the fabric's correctness contract).");
 
   run_handoff_report();
 }

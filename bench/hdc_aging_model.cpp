@@ -79,14 +79,12 @@ void report() {
       "hidden inside hypervectors.");
 }
 
-// End-to-end cost of the aging-mimicry pipeline on the packed engine vs the
-// retained scalar reference path (LORE_HDC_SCALAR mode: every kernel
-// round-trips through the original int8 loops).
-void packed_vs_scalar_report() {
+// End-to-end cost of the aging-mimicry pipeline on the packed engine.
+void engine_cost_report() {
   bench::print_header(
-      "HDC aging model — packed engine vs scalar reference path (dim 8192)",
-      "Regressor fit (600 samples) and predict (200 queries) with the "
-      "word-parallel kernels vs LORE_HDC_SCALAR reference mode.");
+      "HDC aging model — packed engine cost (dim 8192)",
+      "Regressor fit (600 samples) and predict (200 queries), one thread, "
+      "best of 3 runs.");
   const std::vector<std::pair<double, double>> ranges{
       {0.6, 1.1}, {300.0, 400.0}, {0.05, 1.0}, {0.05, 2.0}, {-1.0, 1.3}};
 
@@ -107,40 +105,27 @@ void packed_vs_scalar_report() {
     y.push_back(foundry_model.delta_vth(stress));
   }
 
-  struct Run {
-    double fit_ms = 0.0, predict_ms = 0.0, checksum = 0.0;
-  };
-  auto run_mode = [&](bool scalar) {
-    ml::set_hdc_scalar_reference_mode(scalar);
-    Run r;
-    RecordEncoder encoder(ranges, RecordEncoderConfig{.dim = 8192, .levels = 48});
-    HdcRegressor hdc(&encoder, HdcRegressorConfig{.target_levels = 40, .threads = 1});
-    r.fit_ms = bench::timed_seconds([&] { hdc.fit(x, y); }) * 1e3;
-    r.predict_ms = bench::timed_seconds([&] {
-      for (int i = 0; i < 200; ++i) r.checksum += hdc.predict(x[static_cast<std::size_t>(i)]);
-    }) * 1e3;
-    return r;
-  };
-  const Run scalar = run_mode(true);
-  const Run packed = run_mode(false);
-  ml::set_hdc_scalar_reference_mode(false);
+  constexpr std::size_t kQueries = 200;
+  RecordEncoder encoder(ranges, RecordEncoderConfig{.dim = 8192, .levels = 48});
+  HdcRegressor hdc(&encoder, HdcRegressorConfig{.target_levels = 40, .threads = 1});
+  const double fit_s = bench::best_of_seconds(3, [&] { hdc.fit(x, y); });
+  double checksum = 0.0;
+  const double predict_s = bench::best_of_seconds(3, [&] {
+    for (std::size_t i = 0; i < kQueries; ++i) checksum += hdc.predict(x[i]);
+  });
+  benchmark::DoNotOptimize(checksum);
 
-  Table t({"stage", "scalar_ms", "packed_ms", "speedup", "bit_identical"});
-  const char* same = scalar.checksum == packed.checksum ? "yes" : "NO";
-  t.add_row({"fit (600 samples)", fmt_sig(scalar.fit_ms, 4), fmt_sig(packed.fit_ms, 4),
-             fmt_sig(scalar.fit_ms / packed.fit_ms, 3), "-"});
-  t.add_row({"predict (200 queries)", fmt_sig(scalar.predict_ms, 4),
-             fmt_sig(packed.predict_ms, 4),
-             fmt_sig(scalar.predict_ms / packed.predict_ms, 3), same});
+  Table t({"stage", "ms", "samples_per_s"});
+  t.add_row({"fit (600 samples)", fmt_sig(fit_s * 1e3, 4),
+             fmt_sig(static_cast<double>(x.size()) / fit_s, 4)});
+  t.add_row({"predict (200 queries)", fmt_sig(predict_s * 1e3, 4),
+             fmt_sig(static_cast<double>(kQueries) / predict_s, 4)});
   bench::print_table(t);
-  bench::print_note(
-      "Reference mode pays pack/unpack on every kernel on top of the scalar "
-      "loops; it exists for differential testing, not production.");
 }
 
 void full_report() {
   report();
-  packed_vs_scalar_report();
+  engine_cost_report();
 }
 
 void BM_HdcAgingPredict(benchmark::State& state) {

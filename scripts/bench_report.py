@@ -18,9 +18,10 @@ With no arguments, scans $LORE_BENCH_DIR (or the current directory) for
 BENCH_*.json. `--diff` takes two runs (directories or single artifacts),
 matches tables by (bench, section), and prints per-cell ratios for every
 numeric column — speedup deltas for timing tables, drift for accuracy
-tables. `--check` is the CI gate built on the same matching: it compares
-every throughput (`*per_s`) cell of NEW against OLD and exits non-zero when
-any regresses by more than --tolerance percent (default 10) — wire it as
+tables. `--check` is the CI gate: it matches every throughput (`*per_s`,
+`*/s`) cell of OLD to NEW by table, row label and column name, and exits
+non-zero when any regresses by more than --tolerance percent (default 10)
+or when a gated OLD table, row or column has no match in NEW — wire it as
 `BENCH_CHECK=1 scripts/reproduce.sh` against the committed baseline in
 bench/samples/. Only the Python standard library is used.
 """
@@ -385,34 +386,72 @@ def is_throughput_header(h):
     return h.endswith("per_s") or h.endswith("/s")
 
 
+def _label_keys(rows):
+    """(first cell, occurrence) for each row: the k-th row carrying a label
+    in OLD matches the k-th row carrying it in NEW, wherever it sits."""
+    seen = {}
+    keys = []
+    for row in rows:
+        label = str(row[0]) if row else ""
+        keys.append((label, seen.get(label, 0)))
+        seen[label] = seen.get(label, 0) + 1
+    return keys
+
+
 def throughput_ratios(old, new):
-    """Every matching throughput cell as (bench, section, row label, column,
-    old value, new value, new/old ratio). The same (bench, section) +
-    positional row matching as diff_tables."""
-    out = []
-    for key in sorted(set(old) & set(new)):
-        told, tnew = old[key], new[key]
-        if told.get("headers") != tnew.get("headers"):
-            continue
+    """Match every gated OLD cell — a nonzero number in a throughput column —
+    to NEW by (bench, section), row label and column name. Returns (ratios,
+    missing): ratios as (bench, section, row label, column, old value, new
+    value, new/old ratio), and one line per gated OLD table, column or row
+    that NEW lacks."""
+    ratios, missing = [], []
+    for key in sorted(old):
+        told = old[key]
         headers = told.get("headers", [])
-        for rold, rnew in zip(told.get("rows", []), tnew.get("rows", [])):
-            if rold[:1] != rnew[:1]:
+        gated = [c for c, h in enumerate(headers) if is_throughput_header(h)]
+        rows = [(k, r) for k, r in zip(_label_keys(told.get("rows", [])),
+                                       told.get("rows", []))
+                if any(_to_float(r[c]) for c in gated if c < len(r))]
+        if not rows:
+            continue
+        name = f"{key[0]}: {key[1]}"
+        tnew = new.get(key)
+        if tnew is None:
+            missing.append(f"table '{name}' is missing from NEW")
+            continue
+        new_headers = tnew.get("headers", [])
+        for c in gated:
+            if headers[c] not in new_headers:
+                missing.append(f"table '{name}': column '{headers[c]}' is "
+                               "missing from NEW")
+        new_rows = dict(zip(_label_keys(tnew.get("rows", [])),
+                            tnew.get("rows", [])))
+        for (label, k), rold in rows:
+            rnew = new_rows.get((label, k))
+            if rnew is None:
+                missing.append(f"table '{name}': row '{label}' is missing "
+                               "from NEW")
                 continue
-            for c, h in enumerate(headers):
-                if not is_throughput_header(h):
-                    continue
+            for c in gated:
                 fa = _to_float(rold[c]) if c < len(rold) else None
-                fb = _to_float(rnew[c]) if c < len(rnew) else None
-                if fa and fb:
-                    out.append((key[0], key[1], str(rnew[0]), h, fa, fb, fb / fa))
-    return out
+                if not fa or headers[c] not in new_headers:
+                    continue
+                nc = new_headers.index(headers[c])
+                fb = _to_float(rnew[nc]) if nc < len(rnew) else None
+                if fb is None:
+                    missing.append(f"table '{name}': row '{label}' has no "
+                                   f"number in column '{headers[c]}' in NEW")
+                    continue
+                ratios.append((key[0], key[1], label, headers[c], fa, fb, fb / fa))
+    return ratios, missing
 
 
 def check_throughput(old, new, tolerance_pct):
-    """The regression gate: 0 when every throughput cell of NEW is within
-    `tolerance_pct` percent of OLD, 1 otherwise (regressions listed)."""
-    ratios = throughput_ratios(old, new)
-    if not ratios:
+    """The regression gate: 0 when every gated throughput cell of OLD has a
+    match in NEW within `tolerance_pct` percent, 1 otherwise (regressions and
+    unmatched tables, columns and rows listed)."""
+    ratios, missing = throughput_ratios(old, new)
+    if not ratios and not missing:
         print("bench_report: no matching *per_s columns between the two runs",
               file=sys.stderr)
         return 1
@@ -425,10 +464,13 @@ def check_throughput(old, new, tolerance_pct):
     print(render_table(
         ["table", "row", "column", "old", "new", "ratio", "verdict"], rows))
     print()
-    if regressions:
+    for line in missing:
+        print(f"MISSING: {line}")
+    if regressions or missing:
         print(f"bench_report: FAIL — {len(regressions)} of {len(ratios)} "
               f"throughput cell(s) regressed beyond {tolerance_pct:g}% "
-              f"(ratio < {floor:.3g})")
+              f"(ratio < {floor:.3g}); {len(missing)} gated table(s), "
+              "column(s) or row(s) of OLD missing from NEW")
         return 1
     print(f"bench_report: OK — {len(ratios)} throughput cell(s) within "
           f"{tolerance_pct:g}% of baseline")

@@ -394,16 +394,6 @@ lore::CampaignSpec FaultInjector::resolved_spec(const lore::CampaignSpec& spec,
 template <typename Run>
 auto FaultInjector::with_trial_body(const lore::CampaignSpec& s, FaultTarget target,
                                     Run&& run) const {
-  // The batched snapshot-restore body unless the process asked for the
-  // per-trial reference `inject()` (LORE_SIMD_SCALAR=1) — the differential
-  // arbiter. Both poll the deadline at trial start.
-  if (!lore::campaign_batch_enabled())
-    return run([&](std::size_t t, lore::Rng& rng, const lore::CancelToken& cancel) {
-      cancel.throw_if_cancelled();
-      FaultRecord rec = inject(random_site(rng, target));
-      rec.trial_seed = lore::trial_seed(s.base_seed, t);
-      return rec;
-    });
   const BatchContext ctx{workload_, golden_, build_golden_trace()};
   return run([&](std::size_t t, lore::Rng& rng, const lore::CancelToken& cancel) {
     cancel.throw_if_cancelled();

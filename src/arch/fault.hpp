@@ -113,6 +113,8 @@ class FaultInjector {
   const GoldenRun& golden() const { return golden_; }
 
   /// Run with a single bit flip at the given site; classify the outcome.
+  /// The single-trial reference: campaigns run the batched body, which the
+  /// `simd` differential suite holds equal to this.
   FaultRecord inject(const FaultSite& site) const;
 
   /// Random site over live state: register bits and touched memory words,
@@ -188,8 +190,7 @@ class FaultInjector {
 
   void prepare_cpu(Cpu& cpu) const;
 
-  /// `run(body)` with the campaign's trial body: batched, or the reference
-  /// `inject()` when `campaign_batch_enabled()` is off.
+  /// `run(body)` with the campaign's batched snapshot-restore trial body.
   template <typename Run>
   auto with_trial_body(const CampaignSpec& s, FaultTarget target, Run&& run) const;
 

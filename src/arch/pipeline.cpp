@@ -489,22 +489,12 @@ lore::CampaignSpec pipeline_spec_with_domain(const Workload& w,
   return s;
 }
 
-/// `run(body)` with the pipeline campaign's trial body: the batched
-/// snapshot-restore body, or the per-trial reference `pipeline_inject()` when
-/// `campaign_batch_enabled()` is off (LORE_SIMD_SCALAR=1) — the differential
-/// arbiter. Both poll the deadline at trial start.
+/// `run(body)` with the pipeline campaign's batched snapshot-restore trial
+/// body, which polls the deadline at trial start. Golden output and the
+/// instrumented clean-run trace are built once, outside the trial loop.
 template <typename Run>
 auto with_pipeline_body(const Workload& w, const lore::CampaignSpec& s,
                         std::uint64_t total_cycles, Run&& run) {
-  if (!lore::campaign_batch_enabled())
-    return run([&](std::size_t t, lore::Rng& rng, const lore::CancelToken& cancel) {
-      cancel.throw_if_cancelled();
-      const PipelineFaultSite site = draw_pipeline_site(rng, total_cycles);
-      return make_pipeline_record(site, pipeline_inject(w, site),
-                                  lore::trial_seed(s.base_seed, t));
-    });
-  // Golden output and the instrumented clean-run trace are hoisted out of
-  // the trial loop; the reference body recomputes both per trial.
   const std::uint64_t budget = 4 * w.max_cycles + 64;
   const GoldenRun golden = run_golden(w);
   const PipeBatchContext ctx{w, golden, budget,

@@ -138,7 +138,8 @@ class PipelineCpu {
 /// the functional CPU's golden run; returns true when they agree.
 bool pipeline_matches_golden(const Workload& w);
 
-/// Outcome of a single pipeline-latch fault on a workload.
+/// Outcome of a single pipeline-latch fault on a workload. The single-trial
+/// reference the `simd` differential suite holds pipeline campaigns to.
 Outcome pipeline_inject(const Workload& w, const PipelineFaultSite& site);
 
 /// Campaign of random latch faults on the resilient runtime (checkpoint/

@@ -35,37 +35,6 @@ void warn_checkpoint(std::string_view source, const char* reason) {
 
 }  // namespace
 
-namespace {
-
-/// LORE_SIMD_SCALAR=1 selects the per-trial reference bodies at the arch call
-/// sites alongside the scalar SIMD kernels (one switch, one bit-identity
-/// contract — DESIGN.md §11).
-bool batch_enabled_from_env() {
-  const char* env = std::getenv("LORE_SIMD_SCALAR");
-  return !(env && *env && *env != '0');
-}
-
-std::atomic<bool> g_batch_enabled{batch_enabled_from_env()};
-
-}  // namespace
-
-bool campaign_batch_enabled() { return g_batch_enabled.load(std::memory_order_relaxed); }
-
-void set_campaign_batch_enabled(bool on) {
-  g_batch_enabled.store(on, std::memory_order_relaxed);
-}
-
-std::size_t resolve_trial_chunk(std::size_t requested) {
-  if (requested > 0) return requested;
-  static const std::size_t env_chunk = [] {
-    const char* env = std::getenv("LORE_TRIAL_CHUNK");
-    if (!env || !*env) return std::size_t{0};
-    const long v = std::atol(env);
-    return v > 0 ? static_cast<std::size_t>(v) : std::size_t{0};
-  }();
-  return env_chunk > 0 ? env_chunk : 256;
-}
-
 bool plain_campaign_spec(const CampaignSpec& spec) {
   return spec.checkpoint_path.empty() && spec.trial_deadline.count() == 0 &&
          spec.overall_budget.count() == 0 && spec.max_trials_per_run == 0;
@@ -248,21 +217,6 @@ std::optional<CampaignCheckpoint> decode_checkpoint(std::string bytes,
   }
 }
 
-#ifdef LORE_CHECKPOINT_DISABLED
-
-bool write_checkpoint(const std::string&, const CampaignCheckpoint&) { return false; }
-
-namespace {
-bool append_checkpoint(const std::string&, const CampaignCheckpoint&) { return false; }
-}  // namespace
-
-std::optional<CampaignCheckpoint> load_checkpoint(const std::string&,
-                                                  const CampaignSpec&) {
-  return std::nullopt;
-}
-
-#else
-
 namespace {
 
 /// Byte length of the LORECKP1 frame at the start of `bytes`, found by
@@ -356,8 +310,6 @@ std::optional<CampaignCheckpoint> load_checkpoint(const std::string& path,
   return merged;
 }
 
-#endif  // LORE_CHECKPOINT_DISABLED
-
 std::vector<TrialRange> shard_trial_ranges(std::size_t trials, std::size_t shard_count) {
   std::vector<TrialRange> out;
   if (trials == 0 || shard_count == 0) return out;
@@ -406,8 +358,7 @@ ChunkEngine::ChunkEngine(const CampaignSpec& spec, TrialRange window, std::size_
       window_begin_(window.begin),
       window_trials_(window.size()),
       chunk_(chunk),
-      checkpointing_(kCheckpointCompiledIn && !spec.checkpoint_path.empty() &&
-                     spec.checkpoint_every > 0),
+      checkpointing_(!spec.checkpoint_path.empty() && spec.checkpoint_every > 0),
       pruning_(pruning),
       controller_(controller),
       t_start_(Clock::now()),

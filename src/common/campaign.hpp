@@ -50,17 +50,6 @@
 
 namespace lore {
 
-/// True when checkpoint persistence is compiled in. With -DLORE_CHECKPOINT=OFF
-/// (which defines LORE_CHECKPOINT_DISABLED) the file I/O half of the runtime
-/// compiles down to a pass-through: `write_checkpoint` fails benignly,
-/// `load_checkpoint` always reports "no checkpoint", and campaigns simply run
-/// start-to-finish like plain `parallel_for_trials`.
-#ifdef LORE_CHECKPOINT_DISABLED
-inline constexpr bool kCheckpointCompiledIn = false;
-#else
-inline constexpr bool kCheckpointCompiledIn = true;
-#endif
-
 /// Final disposition of one trial in a campaign.
 enum class TrialStatus : std::uint8_t {
   kOk,       // completed (possibly after retries), record present
@@ -441,18 +430,8 @@ CampaignResult<Record> result_from_checkpoint(const CampaignSpec& spec,
 // ---------------------------------------------------------------------------
 // The chunk engine — DESIGN.md §9, §11.
 
-/// Process-wide choice of trial *body* at the architectural call sites
-/// (`FaultInjector`, `pipeline_campaign_*`): on (the default) they run the
-/// batched snapshot-restore bodies, off (LORE_SIMD_SCALAR=1 at start-up, or
-/// `set_campaign_batch_enabled(false)`) the per-trial reference `inject()`
-/// bodies — the arbiter the differential suites compare against. The engine
-/// itself is the same either way.
-bool campaign_batch_enabled();
-void set_campaign_batch_enabled(bool on);
-
-/// Chunk-size resolution: explicit request > LORE_TRIAL_CHUNK environment
-/// variable > 256. Always >= 1.
-std::size_t resolve_trial_chunk(std::size_t requested);
+/// Trials per chunk when `BatchOptions::chunk` is 0.
+inline constexpr std::size_t kDefaultTrialChunk = 256;
 
 /// True when `spec` carries no resilience policy: no checkpointing, no
 /// per-trial deadline, no overall budget, no per-run trial cap. Only plain
@@ -460,7 +439,7 @@ std::size_t resolve_trial_chunk(std::size_t requested);
 bool plain_campaign_spec(const CampaignSpec& spec);
 
 struct BatchOptions {
-  /// Trials per chunk (0 = resolve_trial_chunk); capped at checkpoint_every.
+  /// Trials per chunk (0 = kDefaultTrialChunk); capped at checkpoint_every.
   std::size_t chunk = 0;
 };
 
@@ -647,8 +626,8 @@ CampaignResult<Record> run_window(const CampaignSpec& spec, TrialRange window,
   out.report.trials = n;
 
   const bool pruning = static_cast<bool>(hooks.predict) && plain_campaign_spec(spec);
-  ChunkEngine engine(spec, window, resolve_trial_chunk(chunk_request), pruning,
-                     hooks.controller, shard);
+  ChunkEngine engine(spec, window, chunk_request > 0 ? chunk_request : kDefaultTrialChunk,
+                     pruning, hooks.controller, shard);
 
   // Resume: decode every checkpointed record of the window into its slot.
   // The frames passed CRC and identity checks, so a record that does not

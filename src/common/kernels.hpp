@@ -16,8 +16,8 @@
 //     mismatch counting, word copies, and status tallies. These follow the
 //     packed/scalar split of the HDC engine: `scalar::` holds the
 //     bit-identical reference, and the unqualified entry points dispatch at
-//     runtime to an AVX2 variant when the build (`-DLORE_SIMD=ON`), the host
-//     CPU, and the environment (`LORE_SIMD_SCALAR` unset) all allow it.
+//     runtime to an AVX2 variant when the build (`-DLORE_SIMD=ON`) and the
+//     host CPU both allow it.
 //
 // Bit layout convention: component `i` of a `dim`-bit vector lives in word
 // `i / 64`, bit `i % 64`. Words past `dim` bits (the tail) must be kept zero
@@ -268,9 +268,8 @@ enum class Dispatch : std::uint8_t { kScalar, kAvx2 };
 
 const char* dispatch_name(Dispatch d);
 
-/// Strongest implementation this process may use: kAvx2 when compiled in,
-/// supported by the host CPU, and not vetoed by LORE_SIMD_SCALAR=1 in the
-/// environment; kScalar otherwise.
+/// Strongest implementation this process may use: kAvx2 when compiled in and
+/// supported by the host CPU; kScalar otherwise.
 Dispatch best_dispatch();
 
 /// The implementation the dispatched entry points currently use (initialized

@@ -10,7 +10,6 @@
 
 #include <atomic>
 #include <bit>
-#include <cstdlib>
 
 #if LORE_SIMD_COMPILED
 #include <immintrin.h>
@@ -41,8 +40,6 @@ const char* dispatch_name(Dispatch d) {
 }
 
 Dispatch best_dispatch() {
-  const char* env = std::getenv("LORE_SIMD_SCALAR");
-  if (env && *env && *env != '0') return Dispatch::kScalar;
   return avx2_supported() ? Dispatch::kAvx2 : Dispatch::kScalar;
 }
 

@@ -1,50 +1,19 @@
 #include "src/ml/hdc.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdlib>
 
 #include "src/common/parallel.hpp"
-#include "src/ml/hdc_ref.hpp"
 #include "src/obs/obs.hpp"
 
 namespace lore::ml {
 
-namespace {
-
-bool scalar_mode_default() {
-#ifdef LORE_HDC_SCALAR_DEFAULT
-  constexpr bool build_default = true;
-#else
-  constexpr bool build_default = false;
-#endif
-  if (const char* env = std::getenv("LORE_HDC_SCALAR"))
-    return !(env[0] == '\0' || (env[0] == '0' && env[1] == '\0'));
-  return build_default;
-}
-
-std::atomic<bool>& scalar_mode_flag() {
-  static std::atomic<bool> flag{scalar_mode_default()};
-  return flag;
-}
-
-}  // namespace
-
-bool hdc_scalar_reference_mode() {
-  return scalar_mode_flag().load(std::memory_order_relaxed);
-}
-
-void set_hdc_scalar_reference_mode(bool on) {
-  scalar_mode_flag().store(on, std::memory_order_relaxed);
-}
-
 Hypervector Hypervector::random(std::size_t dim, lore::Rng& rng) {
   // One bernoulli(0.5) per component in index order — the exact RNG stream
   // of the scalar reference, so packed and scalar agree bit-for-bit.
-  if (hdc_scalar_reference_mode()) return pack(hdcref::random(dim, rng));
   Hypervector hv(dim);
   for (std::size_t w = 0; w < hv.words_.size(); ++w) {
     const std::size_t block =
@@ -80,8 +49,6 @@ std::vector<std::int8_t> Hypervector::unpack() const {
 
 Hypervector Hypervector::bind(const Hypervector& other) const {
   assert(dim() == other.dim());
-  if (hdc_scalar_reference_mode())
-    return pack(hdcref::bind(unpack(), other.unpack()));
   Hypervector out(dim_);
   kernels::xor_words(out.words_, words_, other.words_);
   return out;
@@ -89,7 +56,6 @@ Hypervector Hypervector::bind(const Hypervector& other) const {
 
 Hypervector Hypervector::permute(std::size_t k) const {
   if (dim_ == 0) return Hypervector(0);
-  if (hdc_scalar_reference_mode()) return pack(hdcref::permute(unpack(), k));
   Hypervector out(dim_);
   kernels::rotate_left_bits(out.words_, words_, dim_, k);
   return out;
@@ -98,8 +64,6 @@ Hypervector Hypervector::permute(std::size_t k) const {
 double Hypervector::similarity(const Hypervector& other) const {
   assert(dim() == other.dim() && dim() > 0);
   LORE_OBS_COUNT("hdc.similarity_ops", 1);
-  if (hdc_scalar_reference_mode())
-    return hdcref::similarity(unpack(), other.unpack());
   // Differing sign bits contribute -1 to the dot product, agreeing bits +1:
   // dot = dim - 2 * popcount(a XOR b). The division matches the scalar
   // reference expression exactly, so the double result is bit-identical.
@@ -113,10 +77,6 @@ double Hypervector::hamming(const Hypervector& other) const {
 }
 
 Hypervector Hypervector::with_component_errors(double p, lore::Rng& rng) const {
-  if (hdc_scalar_reference_mode()) {
-    auto out = hdcref::with_component_errors(unpack(), p, rng);
-    return pack(out);
-  }
   Hypervector out = *this;
   if (p <= 0.0) return out;
   std::uint64_t flips = 0;
@@ -136,11 +96,7 @@ void Accumulator::add_weighted(const Hypervector& hv, int weight) {
   assert(hv.dim() == dim_);
   dirty_ = true;
   ++count_;
-  if (hdc_scalar_reference_mode()) {
-    hdcref::accumulate(scalar_sums_, hv.unpack(), weight);
-    return;
-  }
-  packed_weight_total_ += weight;
+  weight_total_ += weight;
   if (weight == 0) return;
   // Carry-save bundle: each set bit of |weight| ripples the sign words into
   // the matching plane of the counter stack — word-parallel XOR/AND passes
@@ -154,13 +110,13 @@ void Accumulator::add_weighted(const Hypervector& hv, int weight) {
 
 void Accumulator::materialize() const {
   if (!dirty_) return;
-  // sum[i] = scalar-mode adds + Σw_packed − 2·(pos_count[i] − neg_count[i]),
-  // where the counts are read off the bit planes (bit at plane p ⇒ 2^p).
-  sums_cache_ = scalar_sums_;
+  // sum[i] = Σw − 2·(pos_count[i] − neg_count[i]), where the counts are read
+  // off the bit planes (bit at plane p ⇒ 2^p).
+  sums_cache_.resize(dim_);
   const std::size_t nwords = kernels::word_count(dim_);
   std::int64_t delta[kernels::kWordBits];
   for (std::size_t w = 0; w < nwords; ++w) {
-    for (auto& d : delta) d = packed_weight_total_;
+    for (auto& d : delta) d = weight_total_;
     for (std::size_t p = 0; p < pos_planes_.size(); ++p)
       for (std::uint64_t bits = pos_planes_[p][w]; bits != 0; bits &= bits - 1)
         delta[std::countr_zero(bits)] -= std::int64_t{2} << p;
@@ -170,7 +126,7 @@ void Accumulator::materialize() const {
     const std::size_t base = w * kernels::kWordBits;
     const std::size_t n = std::min<std::size_t>(kernels::kWordBits, dim_ - base);
     for (std::size_t b = 0; b < n; ++b)
-      sums_cache_[base + b] += static_cast<std::int32_t>(delta[b]);
+      sums_cache_[base + b] = static_cast<std::int32_t>(delta[b]);
   }
   dirty_ = false;
 }
@@ -182,8 +138,6 @@ std::span<const std::int32_t> Accumulator::sums() const {
 
 Hypervector Accumulator::to_hypervector(lore::Rng* rng) const {
   materialize();
-  if (hdc_scalar_reference_mode())
-    return Hypervector::pack(hdcref::threshold(sums_cache_, rng));
   Hypervector out(dim_);  // starts all +1 (bits clear)
   for (std::size_t i = 0; i < dim_; ++i) {
     if (sums_cache_[i] < 0) out.set(i, -1);

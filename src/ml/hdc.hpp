@@ -13,9 +13,8 @@
 // a ~64× cut in memory traffic over the one-int8-per-component layout. All
 // randomness (random(), with_component_errors(), threshold tie-breaks) draws
 // from the Rng once per component in index order, so packed results are
-// bit-identical to the scalar reference in `src/ml/hdc_ref` for the same
-// seed. The scalar path is retained behind `LORE_HDC_SCALAR` (env var, or
-// the -DLORE_HDC_SCALAR=ON build default) for differential testing.
+// bit-identical to the original scalar loops for the same seed; those loops
+// live on as the test oracle in `tests/ml/hdc_ref` (ctest label `hdc`).
 #pragma once
 
 #include <cstdint>
@@ -28,14 +27,6 @@
 #include "src/common/rng.hpp"
 
 namespace lore::ml {
-
-/// True when Hypervector/Accumulator operations route through the scalar
-/// reference kernels (`hdcref`) instead of the word-parallel path. Initial
-/// value comes from the LORE_HDC_SCALAR environment variable (unset or "0" =
-/// packed) or the LORE_HDC_SCALAR build option; results are bit-identical in
-/// both modes, only the speed differs.
-bool hdc_scalar_reference_mode();
-void set_hdc_scalar_reference_mode(bool on);
 
 /// Bipolar hypervector: components in {-1, +1}, sign-bit-packed into uint64
 /// words (see header comment for the layout).
@@ -95,7 +86,7 @@ class Hypervector {
   /// injection for the robustness experiment).
   Hypervector with_component_errors(double p, lore::Rng& rng) const;
 
-  /// Unpack to one int8 component per entry (the scalar reference layout).
+  /// Unpack to one int8 component per entry.
   std::vector<std::int8_t> unpack() const;
   /// Raw packed words (tail bits past dim() are zero).
   std::span<const std::uint64_t> words() const { return words_; }
@@ -111,17 +102,17 @@ class Hypervector {
 
 /// Integer accumulator for bundling many hypervectors then thresholding.
 ///
-/// Packed-mode adds are carry-save: per weight bit, the sign words ripple
-/// into a stack of bit-plane counters (one XOR + AND pass per live plane —
-/// amortized O(dim/64) words per add instead of `dim` integer adds). The
+/// Adds are carry-save: per weight bit, the sign words ripple into a stack
+/// of bit-plane counters (one XOR + AND pass per live plane — amortized
+/// O(dim/64) words per add instead of `dim` integer adds). The
 /// exact per-component int32 sums are materialized lazily from
-///   sum[i] = Σw − 2·(pos_planes[i] − neg_planes[i]) (+ scalar-mode adds),
+///   sum[i] = Σw − 2·(pos_planes[i] − neg_planes[i]),
 /// so `sums()`/`to_hypervector()` observe exactly the integers the original
 /// int8 loop would have produced. Not safe for concurrent use from multiple
 /// threads (lazy cache); every current call site is thread-local.
 class Accumulator {
  public:
-  explicit Accumulator(std::size_t dim) : dim_(dim), scalar_sums_(dim, 0) {}
+  explicit Accumulator(std::size_t dim) : dim_(dim) {}
 
   void add(const Hypervector& hv);
   void add_weighted(const Hypervector& hv, int weight);
@@ -137,14 +128,12 @@ class Accumulator {
 
   std::size_t dim_ = 0;
   std::size_t count_ = 0;
-  /// Σ weight over packed-mode adds (sums decompose against this total).
-  std::int64_t packed_weight_total_ = 0;
+  /// Σ weight over all adds (sums decompose against this total).
+  std::int64_t weight_total_ = 0;
   /// Bit-plane counters of sign bits: pos_ for positive weights, neg_ for
   /// magnitudes of negative weights.
   std::vector<std::vector<std::uint64_t>> pos_planes_, neg_planes_;
   std::vector<std::uint64_t> carry_scratch_;
-  /// Scalar-reference-mode adds bypass the planes and land here directly.
-  std::vector<std::int32_t> scalar_sums_;
   mutable std::vector<std::int32_t> sums_cache_;
   mutable bool dirty_ = true;
 };

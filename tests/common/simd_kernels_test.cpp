@@ -3,9 +3,8 @@
 // reference at adversarial sizes — below, at, and above the SIMD lane width,
 // plus a large non-multiple; (2) whole fault-injection campaigns with the
 // batched trial bodies are bit-identical across dispatch modes and thread
-// counts to the per-trial reference bodies. Together these ARE the contract that lets
-// `LORE_SIMD_SCALAR=1` serve as a trusted arbiter for any suspected
-// SIMD/batching miscompare.
+// counts to a serial loop of the single-trial references (`replay_trial`,
+// `pipeline_inject`), which no campaign runs.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -36,20 +35,7 @@ class DispatchGuard {
   kernels::Dispatch saved_;
 };
 
-/// Restore the batched-body switch on scope exit.
-class BatchEngineGuard {
- public:
-  BatchEngineGuard() : saved_(campaign_batch_enabled()) {}
-  ~BatchEngineGuard() { set_campaign_batch_enabled(saved_); }
-
- private:
-  bool saved_;
-};
-
-// True when set_dispatch(kAvx2) sticks (hardware + compile support). Probed
-// via the clamp itself, NOT best_dispatch(): LORE_SIMD_SCALAR=1 downgrades
-// the *default* dispatch, but an explicit set_dispatch still overrides it,
-// so this suite must keep exercising AVX2 under that env when the CPU can.
+// True when set_dispatch(kAvx2) sticks (hardware + compile support).
 bool avx2_available() {
   DispatchGuard guard;
   kernels::set_dispatch(kernels::Dispatch::kAvx2);
@@ -168,23 +154,23 @@ TEST(SimdKernels, DispatchedWrappersFollowActiveDispatch) {
 
 // ---------------------------------------------------------------------------
 // Campaign-level differential: the batched bodies under every dispatch mode
-// and thread count must reproduce the reference bodies' records exactly.
+// and thread count must reproduce the single-trial references exactly.
 
 TEST(SimdCampaignDifferential, FaultCampaignBitIdenticalToReference) {
   DispatchGuard dispatch_guard;
-  BatchEngineGuard engine_guard;
   const auto w = arch::make_checksum(12, 5);
   const arch::FaultInjector injector(w);
+  constexpr std::size_t kTrials = 300;
+  constexpr std::uint64_t kSeed = 2024;
   for (const auto target : {arch::FaultTarget::kRegister, arch::FaultTarget::kMemory,
                             arch::FaultTarget::kInstruction}) {
-    set_campaign_batch_enabled(false);  // per-trial reference inject()
-    const auto reference = injector.campaign(300, target, 2024, 1);
-    ASSERT_EQ(reference.size(), 300u);
-    set_campaign_batch_enabled(true);
+    std::vector<arch::FaultRecord> reference;
+    for (std::size_t t = 0; t < kTrials; ++t)
+      reference.push_back(injector.replay_trial(trial_seed(kSeed, t), target));
     for (const auto mode : {kernels::Dispatch::kScalar, kernels::Dispatch::kAvx2}) {
       kernels::set_dispatch(mode);
       for (const unsigned threads : {1u, 4u, 0u}) {
-        const auto batched = injector.campaign(300, target, 2024, threads);
+        const auto batched = injector.campaign(kTrials, target, kSeed, threads);
         EXPECT_TRUE(reference == batched)
             << "target=" << static_cast<int>(target)
             << " dispatch=" << kernels::dispatch_name(kernels::active_dispatch())
@@ -196,16 +182,34 @@ TEST(SimdCampaignDifferential, FaultCampaignBitIdenticalToReference) {
 
 TEST(SimdCampaignDifferential, PipelineCampaignBitIdenticalToReference) {
   DispatchGuard dispatch_guard;
-  BatchEngineGuard engine_guard;
   const auto w = arch::make_checksum(10, 3);
-  set_campaign_batch_enabled(false);
-  const auto reference = arch::pipeline_campaign(w, 200, 77, 1);
-  ASSERT_EQ(reference.size(), 200u);
-  set_campaign_batch_enabled(true);
+  constexpr std::size_t kTrials = 200;
+  constexpr std::uint64_t kSeed = 77;
+  // The first campaign is checked record by record against the per-trial
+  // reference `pipeline_inject` on its own site; every other dispatch mode
+  // and thread count must then reproduce it exactly.
+  std::vector<arch::FaultRecord> reference;
   for (const auto mode : {kernels::Dispatch::kScalar, kernels::Dispatch::kAvx2}) {
     kernels::set_dispatch(mode);
     for (const unsigned threads : {1u, 4u, 0u}) {
-      const auto batched = arch::pipeline_campaign(w, 200, 77, threads);
+      const auto batched = arch::pipeline_campaign(w, kTrials, kSeed, threads);
+      if (reference.empty()) {
+        ASSERT_EQ(batched.size(), kTrials);
+        for (std::size_t t = 0; t < kTrials; ++t) {
+          const auto& rec = batched[t];
+          arch::FaultRecord expected;
+          expected.site.target = arch::FaultTarget::kRegister;
+          expected.site.index = rec.site.index;
+          expected.site.bit = rec.site.bit;
+          expected.site.cycle = rec.site.cycle;
+          expected.outcome = arch::pipeline_inject(
+              w, {static_cast<arch::LatchField>(rec.site.index), rec.site.bit,
+                  rec.site.cycle});
+          expected.trial_seed = trial_seed(kSeed, t);
+          ASSERT_TRUE(rec == expected) << "trial " << t;
+        }
+        reference = batched;
+      }
       EXPECT_TRUE(reference == batched)
           << "dispatch=" << kernels::dispatch_name(kernels::active_dispatch())
           << " threads=" << threads;
@@ -216,8 +220,6 @@ TEST(SimdCampaignDifferential, PipelineCampaignBitIdenticalToReference) {
 TEST(SimdCampaignDifferential, ReplaySeedStillReproducesBatchedTrials) {
   // Each batched record's trial_seed must replay to the same outcome through
   // the (reference) single-trial path — the cross-body debugging loop.
-  BatchEngineGuard engine_guard;
-  set_campaign_batch_enabled(true);
   const auto w = arch::make_checksum(12, 5);
   const arch::FaultInjector injector(w);
   const auto records = injector.campaign(64, arch::FaultTarget::kRegister, 9, 0);

@@ -1,35 +1,25 @@
 // Differential suite for the bit-packed HDC engine: every word-parallel
-// kernel must be bit-identical to the scalar reference in src/ml/hdc_ref for
-// the same seed — including dims that are not multiples of 64 (tail-bit
-// masking) and the RNG tie-break stream of Accumulator::to_hypervector.
+// kernel must be bit-identical to the scalar reference in tests/ml/hdc_ref
+// for the same seed — including dims that are not multiples of 64 (tail-bit
+// masking) and the RNG tie-break stream of Accumulator::to_hypervector. The
+// classifier and regressor pipelines are pinned to golden predictions that
+// the packed engine and the former scalar reference mode both produced.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/kernels.hpp"
 #include "src/common/rng.hpp"
 #include "src/ml/hdc.hpp"
-#include "src/ml/hdc_ref.hpp"
+#include "tests/ml/hdc_ref.hpp"
 
 namespace lore::ml {
 namespace {
 
 // The acceptance dims: word-aligned, tail-bit, production, and prime.
 const std::size_t kDims[] = {64, 100, 4096, 8191};
-
-/// Restores the engine mode on scope exit so a failing test cannot leak
-/// scalar-reference mode into later tests.
-class ScopedScalarMode {
- public:
-  explicit ScopedScalarMode(bool on) : saved_(hdc_scalar_reference_mode()) {
-    set_hdc_scalar_reference_mode(on);
-  }
-  ~ScopedScalarMode() { set_hdc_scalar_reference_mode(saved_); }
-
- private:
-  bool saved_;
-};
 
 void expect_equal(const Hypervector& packed, const hdcref::Components& ref,
                   std::size_t dim) {
@@ -193,18 +183,19 @@ TEST(HdcPacked, ClassifierMatchesScalarReferenceMode) {
   std::vector<int> y;
   for (std::size_t i = 0; i < x.size(); ++i) y.push_back(static_cast<int>(i % 2));
 
-  auto run = [&](bool scalar) {
-    ScopedScalarMode mode(scalar);
-    RecordEncoder enc({{0.0, 1.0}, {0.0, 1.0}, {0.0, 1.0}},
-                      RecordEncoderConfig{.dim = 1000, .levels = 16});
-    HdcClassifier clf(&enc, HdcClassifierConfig{.threads = 1});
-    clf.fit(x, y);
-    std::vector<int> preds;
-    lore::Rng noise(911);
-    for (const auto& row : x) preds.push_back(clf.predict(row, 0.2, &noise));
-    return preds;
-  };
-  EXPECT_EQ(run(false), run(true));
+  RecordEncoder enc({{0.0, 1.0}, {0.0, 1.0}, {0.0, 1.0}},
+                    RecordEncoderConfig{.dim = 1000, .levels = 16});
+  HdcClassifier clf(&enc, HdcClassifierConfig{.threads = 1});
+  clf.fit(x, y);
+  std::string preds;
+  lore::Rng noise(911);
+  for (const auto& row : x) preds += static_cast<char>('0' + clf.predict(row, 0.2, &noise));
+  // Golden values: both engine modes produced these before the scalar mode
+  // was removed.
+  EXPECT_EQ(preds,
+            "010101010101010101010101010101010101010101010101010101010101"
+            "010101010101010101010101010101010101010101010101010101010101");
+  EXPECT_EQ(noise.next_u64(), 15321031444548913426ULL);
 }
 
 TEST(HdcPacked, RegressorMatchesScalarReferenceMode) {
@@ -215,19 +206,26 @@ TEST(HdcPacked, RegressorMatchesScalarReferenceMode) {
     x.push_back({v});
     y.push_back(2.0 * v + 1.0);
   }
-  auto run = [&](bool scalar) {
-    ScopedScalarMode mode(scalar);
-    RecordEncoder enc({{0.0, 1.0}}, RecordEncoderConfig{.dim = 1000, .levels = 24});
-    HdcRegressor reg(&enc, HdcRegressorConfig{.threads = 1});
-    reg.fit(x, y);
-    std::vector<double> preds;
-    for (const auto& row : x) preds.push_back(reg.predict(row));
-    return preds;
-  };
-  const auto packed = run(false), scalar = run(true);
-  ASSERT_EQ(packed.size(), scalar.size());
-  for (std::size_t i = 0; i < packed.size(); ++i)
-    EXPECT_EQ(packed[i], scalar[i]) << "query " << i;  // bit-identical doubles
+  RecordEncoder enc({{0.0, 1.0}}, RecordEncoderConfig{.dim = 1000, .levels = 24});
+  HdcRegressor reg(&enc, HdcRegressorConfig{.threads = 1});
+  reg.fit(x, y);
+  // Golden predictions as (value, run length) over queries 0..199: both
+  // engine modes produced these bit for bit before the scalar mode was
+  // removed.
+  const std::pair<double, std::size_t> golden[] = {
+      {0x1.1abd0fc2720c5p+0, 9}, {0x1.289b51a6bc43ap+0, 8}, {0x1.39d1917c1e489p+0, 8},
+      {0x1.4cce31a238b99p+0, 9}, {0x1.60d06644d5b18p+0, 8}, {0x1.7565fbded0c47p+0, 8},
+      {0x1.8a4ba042abddfp+0, 9}, {0x1.9f5b4e2d91ba5p+0, 8}, {0x1.b4806f86c7847p+0, 8},
+      {0x1.c9b03c78be89dp+0, 9}, {0x1.dee52cf6db6f9p+0, 8}, {0x1.f41c6436c261fp+0, 8},
+      {0x1.04aa1fd023edbp+1, 9}, {0x1.0f45bb701767p+1, 8},  {0x1.19e033af25d9cp+1, 8},
+      {0x1.24781a28215c9p+1, 9}, {0x1.2f0aaad4bc419p+1, 8}, {0x1.399281ca2f2fdp+1, 8},
+      {0x1.440553fc1cbc7p+1, 9}, {0x1.4e501ec91a46p+1, 8},  {0x1.5851391a68c1fp+1, 8},
+      {0x1.61cf892d75fa9p+1, 9}, {0x1.6a6aa91826fcep+1, 8}, {0x1.7159ca0a4c18bp+1, 8}};
+  std::size_t query = 0;
+  for (const auto& [value, count] : golden)
+    for (std::size_t k = 0; k < count; ++k, ++query)
+      EXPECT_EQ(reg.predict(x[query]), value) << "query " << query;  // bit-identical doubles
+  EXPECT_EQ(query, x.size());
 }
 
 TEST(HdcPackedKernels, RotateLeftBitsAgainstNaive) {

@@ -1,4 +1,4 @@
-#include "src/ml/hdc_ref.hpp"
+#include "tests/ml/hdc_ref.hpp"
 
 #include <cassert>
 

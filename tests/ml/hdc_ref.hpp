@@ -1,11 +1,9 @@
 // Scalar reference kernels for the HDC engine.
 //
 // These are the original one-int8-per-component loops the bit-packed engine
-// in `src/ml/hdc` replaced. They are kept (a) as the oracle for differential
-// tests — the packed kernels must be bit-identical to these for the same RNG
-// seed — and (b) as the body of the `LORE_HDC_SCALAR` reference mode, where
-// every `Hypervector` operation round-trips through these loops instead of
-// the word-parallel path.
+// in `src/ml/hdc` replaced, kept as the oracle of the `hdc` differential
+// suite: the packed kernels must be bit-identical to these for the same RNG
+// seed. Only `lore_hdc_tests` links them.
 //
 // Every function that consumes randomness draws from the Rng in component
 // index order, exactly once per component, which is the contract that makes

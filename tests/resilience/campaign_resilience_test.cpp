@@ -77,7 +77,6 @@ std::size_t frame_bytes(const CampaignSpec& spec, std::size_t entries) {
 }
 
 TEST(Checkpoint, RoundTripPreservesEntries) {
-  if (!kCheckpointCompiledIn) GTEST_SKIP() << "built with LORE_CHECKPOINT=OFF";
   CampaignSpec spec = base_spec(10, "roundtrip");
   CampaignCheckpoint ck;
   ck.identity = spec.identity_hash();
@@ -97,13 +96,11 @@ TEST(Checkpoint, RoundTripPreservesEntries) {
 }
 
 TEST(Checkpoint, MissingFileIsNotAnError) {
-  if (!kCheckpointCompiledIn) GTEST_SKIP() << "built with LORE_CHECKPOINT=OFF";
   CampaignSpec spec = base_spec(4, "missing");
   EXPECT_FALSE(load_checkpoint(spec.checkpoint_path, spec).has_value());
 }
 
 TEST(Checkpoint, CorruptedByteFallsBackToFreshRun) {
-  if (!kCheckpointCompiledIn) GTEST_SKIP() << "built with LORE_CHECKPOINT=OFF";
   CampaignSpec spec = base_spec(12, "corrupt");
   ASSERT_TRUE(run_probe(spec).report.complete());
   compact_checkpoint(spec);
@@ -132,7 +129,6 @@ TEST(Checkpoint, CorruptedByteFallsBackToFreshRun) {
 }
 
 TEST(Checkpoint, TruncatedFileFallsBackToFreshRun) {
-  if (!kCheckpointCompiledIn) GTEST_SKIP() << "built with LORE_CHECKPOINT=OFF";
   CampaignSpec spec = base_spec(12, "truncated");
   ASSERT_TRUE(run_probe(spec).report.complete());
   compact_checkpoint(spec);
@@ -146,7 +142,6 @@ TEST(Checkpoint, TruncatedFileFallsBackToFreshRun) {
 }
 
 TEST(Checkpoint, StaleBuildTagIsRejected) {
-  if (!kCheckpointCompiledIn) GTEST_SKIP() << "built with LORE_CHECKPOINT=OFF";
   CampaignSpec spec = base_spec(6, "stale");
   CampaignCheckpoint ck;
   ck.identity = spec.identity_hash();
@@ -158,7 +153,6 @@ TEST(Checkpoint, StaleBuildTagIsRejected) {
 }
 
 TEST(Checkpoint, SpecIdentityMismatchIsRejected) {
-  if (!kCheckpointCompiledIn) GTEST_SKIP() << "built with LORE_CHECKPOINT=OFF";
   CampaignSpec spec = base_spec(6, "mismatch");
   ASSERT_TRUE(run_probe(spec).report.complete());
 
@@ -173,7 +167,6 @@ TEST(Checkpoint, SpecIdentityMismatchIsRejected) {
 }
 
 TEST(Checkpoint, TornTailFrameIsDroppedAndResumeIsBitIdentical) {
-  if (!kCheckpointCompiledIn) GTEST_SKIP() << "built with LORE_CHECKPOINT=OFF";
   CampaignSpec reference_spec = base_spec(40, "torn_ref");
   reference_spec.checkpoint_path.clear();
   const auto reference = run_probe(reference_spec);
@@ -214,7 +207,6 @@ TEST(Checkpoint, TornTailFrameIsDroppedAndResumeIsBitIdentical) {
 }
 
 TEST(Checkpoint, CorruptFrameBeforeTheEndRejectsTheFile) {
-  if (!kCheckpointCompiledIn) GTEST_SKIP() << "built with LORE_CHECKPOINT=OFF";
   CampaignSpec spec = base_spec(10, "midframe");
   spec.threads = 1;
   spec.checkpoint_every = 5;
@@ -240,7 +232,6 @@ TEST(Checkpoint, CorruptFrameBeforeTheEndRejectsTheFile) {
 }
 
 TEST(Checkpoint, StaleOrForeignFileIsReplacedNotAppendedTo) {
-  if (!kCheckpointCompiledIn) GTEST_SKIP() << "built with LORE_CHECKPOINT=OFF";
   CampaignSpec spec = base_spec(16, "foreign");
   spec.checkpoint_every = 4;
   CampaignSpec other = spec;
@@ -284,7 +275,6 @@ TEST(Checkpoint, FileGrowsByTheNewTrialsPerSlice) {
   // was loaded and appends one frame per chunk, so slice k leaves
   // (1 + frames per slice) headers plus k * slice entries — the file grows
   // by the slice's own entries, never by a rewrite of everything before.
-  if (!kCheckpointCompiledIn) GTEST_SKIP() << "built with LORE_CHECKPOINT=OFF";
   constexpr std::size_t kSlice = 30, kEvery = 8;
   constexpr std::size_t kFramesPerSlice = (kSlice + kEvery - 1) / kEvery;
   constexpr std::size_t kEntry = 8 + 4 + sizeof(ProbeRecord);
@@ -323,7 +313,6 @@ TEST(Checkpoint, DefaultPathComesFromEnvironment) {
 }
 
 TEST(Resume, ChunkedRunsAreBitIdenticalAtAnyThreadCount) {
-  if (!kCheckpointCompiledIn) GTEST_SKIP() << "built with LORE_CHECKPOINT=OFF";
   CampaignSpec reference_spec = base_spec(20, "chunk_ref");
   reference_spec.checkpoint_path.clear();
   const auto reference = run_probe(reference_spec);
@@ -348,7 +337,6 @@ TEST(Resume, ChunkedRunsAreBitIdenticalAtAnyThreadCount) {
 }
 
 TEST(Resume, SigkilledCampaignResumesBitIdentical) {
-  if (!kCheckpointCompiledIn) GTEST_SKIP() << "built with LORE_CHECKPOINT=OFF";
   CampaignSpec spec = base_spec(64, "sigkill");
 
   const pid_t child = fork();
@@ -493,7 +481,6 @@ TEST(Deadline, FailingTrialIsRecordedWithFirstError) {
 }
 
 TEST(Budget, ExhaustedBudgetSkipsAndResumeFinishes) {
-  if (!kCheckpointCompiledIn) GTEST_SKIP() << "built with LORE_CHECKPOINT=OFF";
   CampaignSpec spec = base_spec(24, "budget");
   spec.threads = 2;
   spec.overall_budget = 1ms;

@@ -37,7 +37,6 @@ auto run_in_slices(CampaignSpec spec, std::size_t chunk, const RunFn& run) {
 }
 
 TEST(DomainResume, ArchFaultCampaign) {
-  if (!kCheckpointCompiledIn) GTEST_SKIP() << "built with LORE_CHECKPOINT=OFF";
   const auto workload = arch::make_dot_product(12, 42);
   const arch::FaultInjector injector(workload);
 
@@ -62,7 +61,6 @@ TEST(DomainResume, ArchFaultCampaign) {
 }
 
 TEST(DomainResume, CircuitStuckAtCampaign) {
-  if (!kCheckpointCompiledIn) GTEST_SKIP() << "built with LORE_CHECKPOINT=OFF";
   const auto lib = circuit::make_skeleton_library("tech");
   const auto nl =
       circuit::generate_random_logic(lib, circuit::RandomLogicConfig{.num_gates = 40, .seed = 5});
@@ -95,7 +93,6 @@ TEST(DomainResume, CircuitStuckAtCampaign) {
 }
 
 TEST(DomainResume, CharacterizationGrid) {
-  if (!kCheckpointCompiledIn) GTEST_SKIP() << "built with LORE_CHECKPOINT=OFF";
   const circuit::Characterizer characterizer(
       circuit::CharacterizerConfig{.slew_axis_ps = {10.0, 40.0},
                                    .load_axis_ff = {1.0, 4.0},
@@ -144,7 +141,6 @@ TEST(DomainResume, CharacterizationGrid) {
 }
 
 TEST(DomainResume, RollbackMonteCarlo) {
-  if (!kCheckpointCompiledIn) GTEST_SKIP() << "built with LORE_CHECKPOINT=OFF";
   rollback::ExperimentConfig cfg;
   cfg.error_probabilities = {1e-5, 1e-4};
   cfg.runs_per_point = 30;
