@@ -3,13 +3,69 @@
 // per-instance aged STA gives a far tighter end-of-life guardband than the
 // static worst-case aging corner — and the ML library regenerates aged
 // timing tables without any transient simulation.
+#include <algorithm>
+#include <optional>
+
 #include "bench/bench_util.hpp"
 #include "src/circuit/aging_flow.hpp"
+#include "src/common/parallel.hpp"
 
 namespace {
 
 using namespace lore;
 using namespace lore::circuit;
+
+/// True when two per-instance libraries hold bit-identical tables.
+bool same_tables(const InstanceTableDelayModel& a, const InstanceTableDelayModel& b) {
+  const auto same = [](const TimingTable& x, const TimingTable& y) {
+    return std::ranges::equal(x.values(), y.values());
+  };
+  if (a.tables().size() != b.tables().size()) return false;
+  for (std::size_t i = 0; i < a.tables().size(); ++i) {
+    const auto& xa = a.tables()[i].arcs;
+    const auto& ya = b.tables()[i].arcs;
+    if (xa.size() != ya.size()) return false;
+    for (std::size_t k = 0; k < xa.size(); ++k)
+      if (!same(xa[k].rise_delay, ya[k].rise_delay) ||
+          !same(xa[k].fall_delay, ya[k].fall_delay) ||
+          !same(xa[k].rise_slew, ya[k].rise_slew) || !same(xa[k].fall_slew, ya[k].fall_slew))
+        return false;
+  }
+  return true;
+}
+
+/// The exact aged library is one transient characterization per instance;
+/// instances are independent, so the build runs on every core.
+void report_instance_build(const Netlist& nl, const Characterizer& characterizer,
+                           const StaEngine& sta, const AgingFlowConfig& cfg) {
+  bench::print_header(
+      "Aged per-instance library build",
+      "Exact aged library of the same netlist (one characterize_cell per instance at "
+      "its own temperature and delta-Vth), serial vs all cores, best of 5.");
+  const auto she = instance_she_rise(nl, sta.run(nl, LibraryDelayModel()),
+                                     characterizer.config().she_reference_toggle_ghz);
+  const auto dvth = instance_aging_dvth(nl, she, device::AgingModel{}, cfg);
+  const auto n = static_cast<double>(nl.num_instances());
+  std::optional<InstanceTableDelayModel> serial, parallel;
+  const double serial_s = bench::best_of_seconds(5, [&] {
+    serial.emplace(build_aged_instance_library(nl, she, dvth, characterizer, cfg, 1));
+  });
+  const double parallel_s = bench::best_of_seconds(5, [&] {
+    parallel.emplace(build_aged_instance_library(nl, she, dvth, characterizer, cfg, 0));
+  });
+  Table t({"threads", "workers", "instances", "seconds", "instances_per_s",
+           "speedup_vs_serial", "bit_identical"});
+  t.add_row({"1", "1", std::to_string(nl.num_instances()), fmt_sig(serial_s, 4),
+             fmt_sig(n / serial_s, 4), "1", "yes"});
+  t.add_row({"all", std::to_string(lore::resolve_threads(0, nl.num_instances())),
+             std::to_string(nl.num_instances()), fmt_sig(parallel_s, 4),
+             fmt_sig(n / parallel_s, 4), fmt_sig(serial_s / parallel_s, 3),
+             same_tables(*serial, *parallel) ? "yes" : "NO"});
+  bench::print_table(t);
+  bench::print_note(
+      "Expected: bit_identical=yes; the all-cores row scales with the core count "
+      "(instances are independent grid sweeps, each writing its own slot).");
+}
 
 void report() {
   bench::print_header("Workload-dependent aging guardbands",
@@ -52,6 +108,7 @@ void report() {
       "stay well below the static worst corner (which puts max dvth at max "
       "temperature on every cell); the ML guardband ratio tracks the exact one "
       "closely because systematic characterizer bias cancels in the ratio.");
+  report_instance_build(nl, characterizer, sta, cfg);
 }
 
 void BM_AgingDvth(benchmark::State& state) {

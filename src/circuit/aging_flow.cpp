@@ -29,53 +29,17 @@ InstanceTableDelayModel build_aged_instance_library(const Netlist& nl,
                                                     const std::vector<double>& she_rise_k,
                                                     const std::vector<double>& dvth,
                                                     const Characterizer& characterizer,
-                                                    const AgingFlowConfig& cfg) {
-  assert(she_rise_k.size() == nl.num_instances() && dvth.size() == nl.num_instances());
-  std::vector<InstanceTableDelayModel::InstanceTables> tables(nl.num_instances());
-  for (std::size_t i = 0; i < nl.num_instances(); ++i) {
-    Cell scratch = nl.library().cell(nl.instance(i).cell_id);
-    device::OperatingPoint op = nl.library().corner();
-    op.temperature = cfg.chip_temperature + she_rise_k[i];
-    op.delta_vth = dvth[i];
-    characterizer.characterize_cell(scratch, op);
-    tables[i].arcs = std::move(scratch.arcs);
-  }
-  return InstanceTableDelayModel(std::move(tables));
+                                                    const AgingFlowConfig& cfg,
+                                                    unsigned threads) {
+  return characterize_instances(nl, cfg.chip_temperature, she_rise_k, dvth, characterizer,
+                                threads);
 }
 
 InstanceTableDelayModel build_aged_instance_library_ml(
     const MlLibraryCharacterizer& ml, const Netlist& nl,
     const std::vector<double>& she_rise_k, const std::vector<double>& dvth,
     const AgingFlowConfig& cfg, const CharacterizerConfig& grid) {
-  assert(ml.trained());
-  assert(she_rise_k.size() == nl.num_instances() && dvth.size() == nl.num_instances());
-  std::vector<InstanceTableDelayModel::InstanceTables> tables(nl.num_instances());
-  for (std::size_t i = 0; i < nl.num_instances(); ++i) {
-    const auto& cell = nl.library().cell(nl.instance(i).cell_id);
-    const double temp = cfg.chip_temperature + she_rise_k[i];
-    tables[i].arcs.reserve(cell.num_inputs());
-    for (std::size_t pin = 0; pin < cell.num_inputs(); ++pin) {
-      TimingArc arc;
-      arc.input_pin = pin;
-      arc.rise_delay = TimingTable(grid.slew_axis_ps, grid.load_axis_ff);
-      arc.fall_delay = TimingTable(grid.slew_axis_ps, grid.load_axis_ff);
-      arc.rise_slew = TimingTable(grid.slew_axis_ps, grid.load_axis_ff);
-      arc.fall_slew = TimingTable(grid.slew_axis_ps, grid.load_axis_ff);
-      const double pin_factor = 1.0 + 0.06 * static_cast<double>(pin);
-      for (std::size_t si = 0; si < grid.slew_axis_ps.size(); ++si) {
-        for (std::size_t li = 0; li < grid.load_axis_ff.size(); ++li) {
-          const auto p =
-              ml.predict(cell, grid.slew_axis_ps[si], grid.load_axis_ff[li], temp, dvth[i]);
-          arc.rise_delay.at(si, li) = p.rise_delay_ps * pin_factor;
-          arc.fall_delay.at(si, li) = p.fall_delay_ps * pin_factor;
-          arc.rise_slew.at(si, li) = p.rise_slew_ps;
-          arc.fall_slew.at(si, li) = p.fall_slew_ps;
-        }
-      }
-      tables[i].arcs.push_back(std::move(arc));
-    }
-  }
-  return InstanceTableDelayModel(std::move(tables));
+  return ml.predict_instances(nl, cfg.chip_temperature, she_rise_k, dvth, grid);
 }
 
 AgingGuardbandReport run_aging_flow(const Netlist& nl, CellLibrary& lib,

@@ -29,12 +29,14 @@ std::vector<double> instance_aging_dvth(const Netlist& nl,
                                         const AgingFlowConfig& cfg);
 
 /// Exact aged per-instance library: transient characterization at each
-/// instance's (temperature, delta-Vth).
+/// instance's (temperature, delta-Vth), across `threads` workers (0 = all
+/// cores, 1 = serial; see `characterize_instances`).
 InstanceTableDelayModel build_aged_instance_library(const Netlist& nl,
                                                     const std::vector<double>& she_rise_k,
                                                     const std::vector<double>& dvth,
                                                     const Characterizer& characterizer,
-                                                    const AgingFlowConfig& cfg);
+                                                    const AgingFlowConfig& cfg,
+                                                    unsigned threads = 0);
 
 /// ML-generated aged library (zero transient sims after training).
 InstanceTableDelayModel build_aged_instance_library_ml(

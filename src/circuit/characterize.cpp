@@ -13,16 +13,13 @@ namespace lore::circuit {
 namespace {
 
 /// Drain current of the switching network at output voltage v_out while the
-/// input ramp sits at v_in. Velocity-saturated device with a linear region
-/// near the rail; stacks divide the drive.
-double drive_current(const device::Transistor& dev, std::size_t stack_depth, double v_in,
-                     double v_ds, const device::OperatingPoint& op) {
-  const double vth = dev.vth(op);
+/// input ramp sits at v_in, given the device's threshold `vth` and its
+/// saturation current `i_sat` at gate voltage v_in. Velocity-saturated device
+/// with a linear region near the rail; stacks divide the drive.
+double drive_current(double i_sat, double vth, std::size_t stack_depth, double v_in,
+                     double v_ds) {
   const double overdrive = v_in - vth;
   if (overdrive <= 0.0 || v_ds <= 0.0) return 0.0;
-  device::OperatingPoint gate_op = op;
-  gate_op.vdd = v_in;  // gate at the instantaneous input voltage
-  double i_sat = dev.saturation_current(gate_op);
   // Linear region when V_ds < V_dsat ~ overdrive.
   const double v_dsat = std::max(1e-6, overdrive);
   if (v_ds < v_dsat) i_sat *= v_ds / v_dsat * (2.0 - v_ds / v_dsat);
@@ -51,6 +48,15 @@ device::StageTiming Characterizer::simulate(const Cell& cell, bool rising_output
   double t_ps = 0.0;
   double t50_out = -1.0, t10 = -1.0, t90 = -1.0;
 
+  // The threshold depends only on the corner, and the saturation current
+  // only on the gate voltage, which is constant once the input ramp ends:
+  // recompute i_sat (two pow calls) only when v_gate changes. Every value is
+  // the same expression as an uncached step, so results are bit-identical.
+  const double vth = dev.vth(op);
+  device::OperatingPoint gate_op = op;
+  gate_op.vdd = -1.0;  // no gate voltage seen yet
+  double i_sat = 0.0;
+
   // Integrate until the output completes its swing (with a hard cap so
   // pathological corners terminate).
   const double t_max_ps = 1e6;
@@ -60,7 +66,11 @@ device::StageTiming Characterizer::simulate(const Cell& cell, bool rising_output
     const double ramp_pos = std::clamp(t_ps / ramp_ps, 0.0, 1.0);
     const double v_gate = vdd * ramp_pos;
     const double v_ds = rising_output ? vdd - v_out : v_out;
-    const double i = drive_current(dev, cell.stack_depth, v_gate, v_ds, op);
+    if (v_gate != gate_op.vdd) {
+      gate_op.vdd = v_gate;  // gate at the instantaneous input voltage
+      i_sat = dev.saturation_current(gate_op);
+    }
+    const double i = drive_current(i_sat, vth, cell.stack_depth, v_gate, v_ds);
     const double dv = i * dt_s / c_farad;
     v_out += rising_output ? dv : -dv;
     v_out = std::clamp(v_out, 0.0, vdd);
@@ -95,7 +105,7 @@ double Characterizer::she_rise(const Cell& cell, double in_slew_ps, double load_
 
 void Characterizer::characterize_cell(Cell& cell, const device::OperatingPoint& op,
                                       const lore::CancelToken* cancel) const {
-  LORE_OBS_TIMER(timer, "characterize.cell_us");
+  const obs::ScopedTimer timer(cell_us_);
   const auto& slews = cfg_.slew_axis_ps;
   const auto& loads = cfg_.load_axis_ff;
   cell.arcs.clear();

@@ -30,7 +30,8 @@ class Characterizer {
   Characterizer(CharacterizerConfig cfg, device::SelfHeatingModel she_model)
       : cfg_(std::move(cfg)),
         she_(she_model),
-        evaluations_(obs::MetricsRegistry::global().counter("characterize.evaluations")) {}
+        evaluations_(obs::MetricsRegistry::global().counter("characterize.evaluations")),
+        cell_us_(obs::MetricsRegistry::global().histogram("characterize.cell_us")) {}
 
   const CharacterizerConfig& config() const { return cfg_; }
 
@@ -83,6 +84,9 @@ class Characterizer {
   /// functional outputs (evaluation budgets), so this is not gated on
   /// obs::enabled().
   obs::Counter& evaluations_;
+  /// Per-cell wall time, resolved once so concurrent cell workers skip the
+  /// registry's locked name lookup; the timer honours obs::enabled().
+  obs::Histogram& cell_us_;
 };
 
 }  // namespace lore::circuit

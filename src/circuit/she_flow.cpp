@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "src/common/parallel.hpp"
+
 namespace lore::circuit {
 
 std::vector<double> instance_she_rise(const Netlist& nl, const StaResult& sta,
@@ -21,20 +23,32 @@ std::vector<double> instance_she_rise(const Netlist& nl, const StaResult& sta,
   return rise;
 }
 
+InstanceTableDelayModel characterize_instances(const Netlist& nl, double chip_temperature,
+                                               const std::vector<double>& she_rise_k,
+                                               const std::vector<double>& delta_vth,
+                                               const Characterizer& characterizer,
+                                               unsigned threads) {
+  assert(she_rise_k.size() == nl.num_instances() && delta_vth.size() == nl.num_instances());
+  std::vector<InstanceTableDelayModel::InstanceTables> tables(nl.num_instances());
+  lore::parallel_for(nl.num_instances(), threads, [&](std::size_t i) {
+    Cell scratch = nl.library().cell(nl.instance(i).cell_id);
+    device::OperatingPoint op = nl.library().corner();
+    op.temperature = chip_temperature + she_rise_k[i];
+    op.delta_vth = delta_vth[i];
+    characterizer.characterize_cell(scratch, op);
+    tables[i].arcs = std::move(scratch.arcs);
+  });
+  return InstanceTableDelayModel(std::move(tables));
+}
+
 InstanceTableDelayModel build_exact_instance_library(const Netlist& nl,
                                                      const std::vector<double>& she_rise_k,
                                                      const Characterizer& characterizer,
-                                                     const SheFlowConfig& cfg) {
-  assert(she_rise_k.size() == nl.num_instances());
-  std::vector<InstanceTableDelayModel::InstanceTables> tables(nl.num_instances());
-  for (std::size_t i = 0; i < nl.num_instances(); ++i) {
-    Cell scratch = nl.library().cell(nl.instance(i).cell_id);
-    device::OperatingPoint op = nl.library().corner();
-    op.temperature = cfg.chip_temperature + she_rise_k[i];
-    characterizer.characterize_cell(scratch, op);
-    tables[i].arcs = std::move(scratch.arcs);
-  }
-  return InstanceTableDelayModel(std::move(tables));
+                                                     const SheFlowConfig& cfg,
+                                                     unsigned threads) {
+  const std::vector<double> corner_dvth(nl.num_instances(), nl.library().corner().delta_vth);
+  return characterize_instances(nl, cfg.chip_temperature, she_rise_k, corner_dvth,
+                                characterizer, threads);
 }
 
 std::vector<double> MlLibraryCharacterizer::cell_features(const Cell& cell, double slew_ps,
@@ -104,14 +118,15 @@ MlLibraryCharacterizer::Prediction MlLibraryCharacterizer::predict(
   return {std::exp(out[0]), std::exp(out[1]), std::exp(out[2]), std::exp(out[3])};
 }
 
-InstanceTableDelayModel MlLibraryCharacterizer::build_instance_library(
-    const Netlist& nl, const std::vector<double>& she_rise_k, const SheFlowConfig& cfg,
-    const CharacterizerConfig& grid) const {
-  assert(trained_ && she_rise_k.size() == nl.num_instances());
+InstanceTableDelayModel MlLibraryCharacterizer::predict_instances(
+    const Netlist& nl, double chip_temperature, const std::vector<double>& she_rise_k,
+    const std::vector<double>& delta_vth, const CharacterizerConfig& grid) const {
+  assert(trained_);
+  assert(she_rise_k.size() == nl.num_instances() && delta_vth.size() == nl.num_instances());
   std::vector<InstanceTableDelayModel::InstanceTables> tables(nl.num_instances());
   for (std::size_t i = 0; i < nl.num_instances(); ++i) {
     const auto& cell = nl.library().cell(nl.instance(i).cell_id);
-    const double temp = cfg.chip_temperature + she_rise_k[i];
+    const double temp = chip_temperature + she_rise_k[i];
     tables[i].arcs.reserve(cell.num_inputs());
     for (std::size_t pin = 0; pin < cell.num_inputs(); ++pin) {
       TimingArc arc;
@@ -124,7 +139,7 @@ InstanceTableDelayModel MlLibraryCharacterizer::build_instance_library(
       for (std::size_t si = 0; si < grid.slew_axis_ps.size(); ++si) {
         for (std::size_t li = 0; li < grid.load_axis_ff.size(); ++li) {
           const auto p = predict(cell, grid.slew_axis_ps[si], grid.load_axis_ff[li], temp,
-                                 nl.library().corner().delta_vth);
+                                 delta_vth[i]);
           arc.rise_delay.at(si, li) = p.rise_delay_ps * pin_factor;
           arc.fall_delay.at(si, li) = p.fall_delay_ps * pin_factor;
           arc.rise_slew.at(si, li) = p.rise_slew_ps;
@@ -135,6 +150,13 @@ InstanceTableDelayModel MlLibraryCharacterizer::build_instance_library(
     }
   }
   return InstanceTableDelayModel(std::move(tables));
+}
+
+InstanceTableDelayModel MlLibraryCharacterizer::build_instance_library(
+    const Netlist& nl, const std::vector<double>& she_rise_k, const SheFlowConfig& cfg,
+    const CharacterizerConfig& grid) const {
+  const std::vector<double> corner_dvth(nl.num_instances(), nl.library().corner().delta_vth);
+  return predict_instances(nl, cfg.chip_temperature, she_rise_k, corner_dvth, grid);
 }
 
 double MlLibraryCharacterizer::validation_mape(const CellLibrary& lib,

@@ -35,13 +35,27 @@ struct SheFlowConfig {
 std::vector<double> instance_she_rise(const Netlist& nl, const StaResult& sta,
                                       double she_reference_toggle_ghz);
 
+/// Exact per-instance library: instance i's cell characterized by transient
+/// simulation at the netlist corner's supply, temperature chip_temperature +
+/// she_rise_k[i] and threshold shift delta_vth[i]. Instances are independent
+/// grid sweeps, so they run across `threads` workers (0 = all cores, 1 =
+/// serial), each filling its own slot; the tables are bit-identical for
+/// every thread count.
+InstanceTableDelayModel characterize_instances(const Netlist& nl, double chip_temperature,
+                                               const std::vector<double>& she_rise_k,
+                                               const std::vector<double>& delta_vth,
+                                               const Characterizer& characterizer,
+                                               unsigned threads = 0);
+
 /// Step 2a (lower path, exact): instance-specific tables characterized by
-/// transient simulation at each instance's own temperature. Exhaustive and
-/// slow — the scaling problem the paper calls "practically infeasible".
+/// transient simulation at each instance's own temperature (and the corner's
+/// threshold shift). Exhaustive and slow — the scaling problem the paper
+/// calls "practically infeasible".
 InstanceTableDelayModel build_exact_instance_library(const Netlist& nl,
                                                      const std::vector<double>& she_rise_k,
                                                      const Characterizer& characterizer,
-                                                     const SheFlowConfig& cfg);
+                                                     const SheFlowConfig& cfg,
+                                                     unsigned threads = 0);
 
 struct MlCharacterizerConfig {
   /// Temperatures sampled during training span chip temp .. chip+span (K).
@@ -76,7 +90,16 @@ class MlLibraryCharacterizer {
   Prediction predict(const Cell& cell, double slew_ps, double load_ff,
                      double temperature_k, double delta_vth) const;
 
-  /// Generate the full per-instance library by inference (fast path).
+  /// Per-instance library by inference, the ML twin of
+  /// `characterize_instances`: instance i's tables on `grid` at temperature
+  /// chip_temperature + she_rise_k[i] and threshold shift delta_vth[i].
+  InstanceTableDelayModel predict_instances(const Netlist& nl, double chip_temperature,
+                                            const std::vector<double>& she_rise_k,
+                                            const std::vector<double>& delta_vth,
+                                            const CharacterizerConfig& grid) const;
+
+  /// Generate the full per-instance library by inference (fast path) at the
+  /// corner's threshold shift.
   InstanceTableDelayModel build_instance_library(const Netlist& nl,
                                                  const std::vector<double>& she_rise_k,
                                                  const SheFlowConfig& cfg,

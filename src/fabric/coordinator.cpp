@@ -283,9 +283,13 @@ void Coordinator::collect_flight_ring_locked(std::size_t worker_index,
 }
 
 void Coordinator::scrape_loop() {
-  while (!stopping_.load()) {
-    std::this_thread::sleep_for(cfg_.scrape_interval);
-    if (stopping_.load()) return;
+  for (;;) {
+    {
+      // Sleep one interval, but wake at once when finish() stops the fleet.
+      std::unique_lock<std::mutex> lock(mu_);
+      if (stop_cv_.wait_for(lock, cfg_.scrape_interval, [&] { return stopping_.load(); }))
+        return;
+    }
 
     // Snapshot scrape targets without holding the lock during network I/O.
     struct Target {
@@ -393,6 +397,7 @@ CampaignCheckpoint Coordinator::finish() {
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
+    stop_cv_.notify_all();  // under mu_, so the scrape thread cannot miss it
     for (const Connection& c : conns_) {
       std::lock_guard<std::mutex> send_lock(*c.send_mu);
       send_frame(c.fd, make_frame("shutdown"));

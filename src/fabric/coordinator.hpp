@@ -161,6 +161,8 @@ class Coordinator {
 
   mutable std::mutex mu_;
   std::condition_variable done_cv_;
+  /// Wakes the scrape thread's interval sleep when finish() sets stopping_.
+  std::condition_variable stop_cv_;
   std::optional<ShardTable> table_;
   CampaignCheckpoint merged_;
   std::vector<std::uint8_t> seen_;

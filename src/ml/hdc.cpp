@@ -10,6 +10,17 @@
 #include "src/obs/obs.hpp"
 
 namespace lore::ml {
+namespace {
+
+/// `hdc.similarity_ops`, resolved on first use: similarity is the HDC inner
+/// kernel, so a registry lookup by name on every call would be a large share
+/// of its cost.
+obs::Counter& similarity_ops() {
+  static obs::Counter& ops = obs::MetricsRegistry::global().counter("hdc.similarity_ops");
+  return ops;
+}
+
+}  // namespace
 
 Hypervector Hypervector::random(std::size_t dim, lore::Rng& rng) {
   // One bernoulli(0.5) per component in index order — the exact RNG stream
@@ -63,7 +74,7 @@ Hypervector Hypervector::permute(std::size_t k) const {
 
 double Hypervector::similarity(const Hypervector& other) const {
   assert(dim() == other.dim() && dim() > 0);
-  LORE_OBS_COUNT("hdc.similarity_ops", 1);
+  if (obs::kCompiledIn && obs::enabled()) similarity_ops().add(1);
   // Differing sign bits contribute -1 to the dot product, agreeing bits +1:
   // dot = dim - 2 * popcount(a XOR b). The division matches the scalar
   // reference expression exactly, so the double result is bit-identical.

@@ -303,4 +303,21 @@ TEST(FabricE2E, FleetGaugesPublished) {
   EXPECT_EQ(total, 60.0);
 }
 
+TEST(FabricE2E, FinishDoesNotWaitOutTheScrapeInterval) {
+  // The scrape thread sleeps between polls; finish() must wake it rather
+  // than join it only after a full interval has elapsed.
+  const obs::Json params = fault_params();
+  const auto resolved = resolve_job_spec("arch.fault", params, base_spec(8));
+  ASSERT_TRUE(resolved.has_value());
+  CoordinatorConfig cfg;
+  cfg.scrape_interval = std::chrono::seconds(10);
+  Coordinator coord;
+  ASSERT_TRUE(coord.bind(cfg));
+  coord.serve({"arch.fault", params, *resolved});
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // scrape thread is asleep
+  const auto start = std::chrono::steady_clock::now();
+  coord.finish();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::milliseconds(1000));
+}
+
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include "src/arch/fault.hpp"
 #include "src/arch/workloads.hpp"
+#include "src/circuit/aging_flow.hpp"
 #include "src/circuit/characterize.hpp"
 #include "src/circuit/liberty.hpp"
 #include "src/common/parallel.hpp"
@@ -113,6 +114,81 @@ TEST(CharacterizeDeterminism, LibraryBitIdenticalAcrossThreadCounts) {
     const auto pt = pc.she_temperature.values();
     ASSERT_EQ(st.size(), pt.size());
     for (std::size_t i = 0; i < st.size(); ++i) EXPECT_EQ(st[i], pt[i]);
+  }
+}
+
+void expect_same_arcs(const std::vector<circuit::TimingArc>& want,
+                      const std::vector<circuit::TimingArc>& got) {
+  ASSERT_EQ(want.size(), got.size());
+  const auto same = [](const circuit::TimingTable& a, const circuit::TimingTable& b) {
+    ASSERT_EQ(a.values().size(), b.values().size());
+    for (std::size_t i = 0; i < a.values().size(); ++i) EXPECT_EQ(a.values()[i], b.values()[i]);
+  };
+  for (std::size_t a = 0; a < want.size(); ++a) {
+    EXPECT_EQ(want[a].input_pin, got[a].input_pin);
+    same(want[a].rise_delay, got[a].rise_delay);
+    same(want[a].fall_delay, got[a].fall_delay);
+    same(want[a].rise_slew, got[a].rise_slew);
+    same(want[a].fall_slew, got[a].fall_slew);
+  }
+}
+
+TEST(CharacterizeDeterminism, InstanceLibrariesMatchSerialCellLoop) {
+  const circuit::CharacterizerConfig grid{.slew_axis_ps = {10.0, 40.0, 160.0},
+                                          .load_axis_ff = {1.0, 4.0, 16.0},
+                                          .timestep_ps = 0.3};
+  circuit::Characterizer characterizer(grid, device::SelfHeatingModel{});
+  const circuit::AgingFlowConfig aging_cfg{};
+  const circuit::SheFlowConfig she_cfg{.chip_temperature = aging_cfg.chip_temperature};
+  auto lib = circuit::make_skeleton_library("tech");
+  device::OperatingPoint typical{};
+  typical.temperature = aging_cfg.chip_temperature;
+  characterizer.characterize_library(lib, typical);
+  const auto nl = circuit::generate_core_like(
+      lib, circuit::CoreLikeConfig{.pipeline_stages = 2, .regs_per_stage = 3,
+                                   .gates_per_stage = 16});
+  const circuit::StaEngine sta;
+  const auto she = circuit::instance_she_rise(nl, sta.run(nl, circuit::LibraryDelayModel()),
+                                              grid.she_reference_toggle_ghz);
+  const auto dvth = circuit::instance_aging_dvth(nl, she, device::AgingModel{}, aging_cfg);
+  const std::vector<double> corner_dvth(nl.num_instances(), lib.corner().delta_vth);
+
+  // The reference: one characterize_cell per instance, in instance order.
+  const auto serial_loop = [&](const std::vector<double>& shift) {
+    std::vector<std::vector<circuit::TimingArc>> arcs(nl.num_instances());
+    for (std::size_t i = 0; i < nl.num_instances(); ++i) {
+      circuit::Cell cell = lib.cell(nl.instance(i).cell_id);
+      device::OperatingPoint op = lib.corner();
+      op.temperature = aging_cfg.chip_temperature + she[i];
+      op.delta_vth = shift[i];
+      characterizer.characterize_cell(cell, op);
+      arcs[i] = std::move(cell.arcs);
+    }
+    return arcs;
+  };
+  characterizer.reset_evaluations();
+  const auto exact_want = serial_loop(corner_dvth);
+  const std::size_t loop_evals = characterizer.evaluations();
+  ASSERT_GT(loop_evals, 0u);
+  const auto aged_want = serial_loop(dvth);
+  ASSERT_NE(exact_want[0][0].rise_delay.at(1, 1), aged_want[0][0].rise_delay.at(1, 1));
+
+  for (const unsigned threads : {1u, 4u, 0u}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    characterizer.reset_evaluations();
+    const auto exact =
+        circuit::build_exact_instance_library(nl, she, characterizer, she_cfg, threads);
+    EXPECT_EQ(characterizer.evaluations(), loop_evals);
+    characterizer.reset_evaluations();
+    const auto aged = circuit::build_aged_instance_library(nl, she, dvth, characterizer,
+                                                           aging_cfg, threads);
+    EXPECT_EQ(characterizer.evaluations(), loop_evals);
+    ASSERT_EQ(exact.tables().size(), nl.num_instances());
+    ASSERT_EQ(aged.tables().size(), nl.num_instances());
+    for (std::size_t i = 0; i < nl.num_instances(); ++i) {
+      expect_same_arcs(exact_want[i], exact.tables()[i].arcs);
+      expect_same_arcs(aged_want[i], aged.tables()[i].arcs);
+    }
   }
 }
 
