@@ -12,6 +12,7 @@
 #include "src/ml/metrics.hpp"
 #include "src/ml/predictor.hpp"
 #include "src/ml/svm.hpp"
+#include "src/obs/obs.hpp"
 
 namespace {
 
@@ -48,6 +49,7 @@ void report_obs_overhead(const FaultInjector& injector,
                          const std::vector<FaultRecord>& reference);
 void report_batched_inference(const ml::Dataset& data);
 void report_prune_campaign();
+void report_dead_sites();
 
 void report() {
   bench::print_header("Fault-injection acceleration — accuracy vs training fraction",
@@ -85,6 +87,7 @@ void report() {
       "accuracy — the injection campaign can shrink ~5x ([20]'s observation).");
   report_batched_inference(data);
   report_parallel_campaign();
+  report_dead_sites();
   report_prune_campaign();
 }
 
@@ -252,7 +255,7 @@ void report_obs_overhead(const FaultInjector& injector,
       "Same 10k-trial serial campaign with (1) the metrics registry disabled "
       "(LORE_OBS runtime switch), (2) enabled, and (3) enabled with the live "
       "pipeline running: event ring drained by a 50 ms Aggregator plus the "
-      "HTTP exposition server bound on an ephemeral port.");
+      "HTTP exposition server bound on an ephemeral port. Best of 5 per row.");
   constexpr std::size_t kTrials = 10000;
   constexpr std::uint64_t kSeed = 2024;
   const bool was_enabled = obs::enabled();
@@ -274,8 +277,8 @@ void report_obs_overhead(const FaultInjector& injector,
       server.start(obs::ServeConfig{.port = 0});
     }
     std::vector<FaultRecord> records;
-    const double elapsed = bench::timed_seconds(
-        [&] { records = injector.campaign(kTrials, FaultTarget::kRegister, kSeed, 1); });
+    const double elapsed = bench::best_of_seconds(
+        5, [&] { records = injector.campaign(kTrials, FaultTarget::kRegister, kSeed, 1); });
     if (mode == 2) {
       server.stop();
       agg.stop();
@@ -299,6 +302,54 @@ void report_obs_overhead(const FaultInjector& injector,
     obs::Pipeline::global().start();
 }
 
+/// Exact dead-site rule of the batched trial body (DESIGN.md §11, "Dead
+/// sites"): per-target throughput over the six kernels of the end-to-end
+/// benchmark's campaign mix (perfbench/kernels.cpp, same scales), and the
+/// share of trials decided without simulation, read from the
+/// `arch.fault.dead_site_trials` counter.
+void report_dead_sites() {
+  bench::print_header(
+      "Dead-site short-circuit — per-target trials/s on the perfbench kernels",
+      "Serial 2k-trial campaign per kernel (dot_product 16, checksum 64, "
+      "fibonacci 64, find_max 64, bubble_sort 32, matmul 12), each timed best "
+      "of 5; trials_per_s = 12k trials / the summed best seconds. "
+      "dead_site_share = trials returned benign without simulating because "
+      "the golden run next writes the flipped location or never reads it again.");
+  const std::vector<Workload> kernels = {make_dot_product(16, 11), make_checksum(64, 12),
+                                         make_fibonacci(64),       make_find_max(64, 13),
+                                         make_bubble_sort(32, 14), make_matmul(12, 15)};
+  std::vector<std::unique_ptr<FaultInjector>> injectors;
+  for (const auto& w : kernels) injectors.push_back(std::make_unique<FaultInjector>(w));
+  constexpr std::size_t kTrials = 2000;
+  constexpr int kReps = 5;
+  const bool counted = obs::kCompiledIn && obs::enabled();
+  auto& dead_counter = obs::MetricsRegistry::global().counter("arch.fault.dead_site_trials");
+
+  Table t({"target", "trials", "seconds", "trials_per_s", "dead_site_share"});
+  const std::pair<FaultTarget, const char*> targets[] = {
+      {FaultTarget::kRegister, "register"},
+      {FaultTarget::kMemory, "memory"},
+      {FaultTarget::kInstruction, "instruction"}};
+  for (const auto& [target, name] : targets) {
+    const std::uint64_t dead_before = dead_counter.value();
+    double seconds = 0.0;
+    for (std::size_t k = 0; k < kernels.size(); ++k)
+      seconds += bench::best_of_seconds(kReps, [&] {
+        injectors[k]->campaign(kTrials, target, 2024 + k, 1);
+      });
+    const double trials = static_cast<double>(kTrials * kernels.size());
+    const double dead = static_cast<double>(dead_counter.value() - dead_before) / kReps;
+    t.add_row({name, fmt_sig(trials, 6), fmt_sig(seconds, 4), fmt_sig(trials / seconds, 4),
+               counted ? fmt_sig(dead / trials, 3) : std::string("-")});
+  }
+  bench::print_table(t);
+  bench::print_note(
+      "Expected: a dead-site share well above zero on every target (registers "
+      "the kernels never touch, consumed input words, instructions already "
+      "past); records stay bit-identical to the always-simulating replay_trial "
+      "(the simd differential suite).");
+}
+
 /// Tentpole section for the online predict-and-prune campaign loop
 /// (DESIGN.md §13): a warm-up campaign feeds the Predictor, then the same
 /// campaign runs full vs pruned at several benign thresholds. Effective
@@ -308,7 +359,8 @@ void report_prune_campaign() {
   bench::print_header(
       "Predict-and-prune campaign — full vs pruned effective throughput",
       "20k-trial register campaign on the matmul workload (trial cost is a "
-      "partial golden replay, so heavier workloads gain more from skipping). "
+      "partial golden replay, so heavier workloads gain more from skipping), "
+      "every row timed best of 5. "
       "Warm-up: 3k trials with an untrained predictor (nothing prunes, every "
       "trial feeds the model), then train. Pruned rows skip predicted-benign "
       "trials except a 5% seeded audit; false_benign_rate is the "
@@ -344,9 +396,12 @@ void report_prune_campaign() {
   spec.base_seed = 2024;
   spec.threads = 1;
 
-  std::vector<FaultRecord> full;
-  const double full_s = bench::timed_seconds(
-      [&] { full = injector.campaign(spec, FaultTarget::kRegister); });
+  // Each row is ~0.1 s of work timed on a shared host: best of 5. Pruned
+  // runs feed the predictor's observation ring but never retrain it, so
+  // every repetition prunes the same trials.
+  constexpr int kReps = 5;
+  const double full_s = bench::best_of_seconds(
+      kReps, [&] { injector.campaign(spec, FaultTarget::kRegister); });
 
   Table t({"mode", "threshold", "executed", "pruned", "audits", "false_benign_rate",
            "seconds", "effective_trials_per_s", "speedup_vs_full"});
@@ -357,7 +412,7 @@ void report_prune_campaign() {
     opt.benign_threshold = threshold;
     opt.audit_fraction = 0.05;
     lore::CampaignResult<FaultRecord> pruned;
-    const double elapsed = bench::timed_seconds([&] {
+    const double elapsed = bench::best_of_seconds(kReps, [&] {
       pruned = injector.campaign_run_pruned(spec, FaultTarget::kRegister, predictor, opt);
     });
     const auto& rep = pruned.report;
@@ -373,11 +428,12 @@ void report_prune_campaign() {
   }
   bench::print_table(t);
   bench::print_note(
-      "Expected: effective trials/s >= 2x the full row at the 0.7 operating "
-      "point (GBDT sigmoid margins top out near 0.84, so 0.9 prunes nothing), "
-      "with a small audit-measured false_benign_rate — the accuracy-for-speed "
-      "trade, fed back into training and fused by the PruneController when it "
-      "degrades).");
+      "Expected: effective trials/s about 1.0-1.3x the full row at the 0.6 and "
+      "0.7 operating points, with a small audit-measured false_benign_rate. "
+      "Most trials the predictor prunes are dead sites, which the full row "
+      "already decides exactly by lookup (previous section), so pruning saves "
+      "little beyond its own scoring cost. 0.9 prunes nothing (GBDT sigmoid "
+      "margins top out near 0.84) and pays the scoring, so it reads below 1x.");
 }
 
 void BM_RegisterFeatures(benchmark::State& state) {

@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cstdio>
 
+#include "src/arch/def_use.hpp"
 #include "src/arch/features.hpp"
 #include "src/common/kernels.hpp"
 #include "src/common/parallel.hpp"
@@ -61,7 +62,7 @@ GoldenRun run_golden(const Workload& w) {
   Cpu cpu(w.memory_words);
   cpu.load_program(w.program);
   for (const auto& [addr, value] : w.memory_init) cpu.set_mem(addr, value);
-  [[maybe_unused]] const auto state = cpu.run(w.max_cycles);
+  [[maybe_unused]] const auto state = cpu.run_fast(w.max_cycles);
   assert(state == RunState::kHalted && "golden run must complete");
   GoldenRun g;
   g.cycles = cpu.cycles();
@@ -72,7 +73,9 @@ GoldenRun run_golden(const Workload& w) {
 }
 
 FaultInjector::FaultInjector(const Workload& workload)
-    : workload_(workload), golden_(run_golden(workload)) {}
+    : workload_(workload),
+      golden_(run_golden(workload)),
+      data_words_(data_window_words(workload)) {}
 
 void FaultInjector::prepare_cpu(Cpu& cpu) const {
   cpu.load_program(workload_.program);
@@ -139,14 +142,10 @@ FaultSite FaultInjector::random_site(lore::Rng& rng, FaultTarget target) const {
       site.index = rng.uniform_index(kNumRegisters);
       site.bit = static_cast<unsigned>(rng.uniform_index(32));
       break;
-    case FaultTarget::kMemory: {
-      // Restrict to the workload's live data window (init + outputs).
-      std::size_t hi = workload_.output_base + workload_.output_words;
-      for (const auto& [addr, value] : workload_.memory_init) hi = std::max(hi, addr + 1);
-      site.index = rng.uniform_index(hi);
+    case FaultTarget::kMemory:
+      site.index = rng.uniform_index(data_words_);
       site.bit = static_cast<unsigned>(rng.uniform_index(32));
       break;
-    }
     case FaultTarget::kInstruction:
       site.index = rng.uniform_index(workload_.program.size());
       site.bit = static_cast<unsigned>(rng.uniform_index(32));
@@ -211,6 +210,9 @@ void count_completed_outcomes(const char* prefix,
 // memory is back at the workload baseline. Trajectories are bit-identical to
 // the reference by construction: pre-injection state is the golden
 // trajectory either way, and injection/classification code is shared.
+// A flip the golden run never reads again is decided without simulating the
+// rest of the program: the same replay records a def-use index, and
+// `dead_site` applies the exact rule of DESIGN.md §11 ("Dead sites").
 // The differential suite in tests/common/ holds this equal to `inject()`
 // across dispatch modes, chunk sizes, and thread counts.
 
@@ -226,11 +228,13 @@ struct FaultInjector::TraceSnap {
 };
 
 /// One instrumented golden replay: snapshots every `stride` cycles (at most
-/// ~1024 of them) and the ordered log of every retired store.
+/// ~1024 of them), the ordered log of every retired store, and the def-use
+/// index of every register, data word and instruction.
 struct FaultInjector::GoldenTrace {
   std::vector<TraceSnap> snaps;
   std::vector<MemWrite> writes;
   std::uint64_t stride = 1;
+  DefUseIndex def_use;
 };
 
 namespace {
@@ -247,15 +251,43 @@ struct FaultInjector::BatchContext {
   const Workload& workload;
   const GoldenRun& golden;
   GoldenTrace trace;
+  /// `arch.fault.dead_site_trials`, resolved once per campaign (nullptr
+  /// while observability is off).
+  obs::Counter* dead_sites = nullptr;
   std::uint64_t id = ++g_batch_context_serial;
 };
 
 /// Per-thread scratch: one live Cpu holding the workload baseline between
-/// trials, plus the undo log that maintains that invariant.
+/// trials, the undo log that maintains that invariant, and the dead-site
+/// trials not yet added to the counter.
 struct FaultInjector::BatchScratch {
   std::uint64_t ctx_id = 0;
   Cpu cpu{1};
   std::vector<MemWrite> undo;
+  std::uint64_t dead = 0;
+};
+
+/// The campaign trial body. The chunk engine calls `chunk_done` after each
+/// chunk on the thread that ran it, so the counter takes one add per chunk.
+struct FaultInjector::TrialBody {
+  const FaultInjector& injector;
+  const BatchContext& ctx;
+  FaultTarget target;
+  std::uint64_t base_seed;
+
+  FaultRecord operator()(std::size_t t, lore::Rng& rng, const lore::CancelToken& cancel) const {
+    cancel.throw_if_cancelled();
+    FaultRecord rec =
+        injector.inject_batched(ctx, scratch_for(ctx), injector.random_site(rng, target));
+    rec.trial_seed = lore::trial_seed(base_seed, t);
+    return rec;
+  }
+
+  void chunk_done() const {
+    BatchScratch& scratch = scratch_for(ctx);
+    if (ctx.dead_sites && scratch.dead) ctx.dead_sites->add(scratch.dead);
+    scratch.dead = 0;
+  }
 };
 
 FaultInjector::GoldenTrace FaultInjector::build_golden_trace() const {
@@ -263,6 +295,7 @@ FaultInjector::GoldenTrace FaultInjector::build_golden_trace() const {
   // <= ~1024 snapshots regardless of workload length; pre-injection replay
   // from the nearest snapshot is then at most `stride` cycles.
   trace.stride = std::max<std::uint64_t>(1, (golden_.cycles + 1023) / 1024);
+  trace.def_use = DefUseIndex(workload_.program, data_words_);
   Cpu cpu(workload_.memory_words);
   prepare_cpu(cpu);
   cpu.set_write_log(&trace.writes);
@@ -279,9 +312,11 @@ FaultInjector::GoldenTrace FaultInjector::build_golden_trace() const {
       trace.snaps.push_back(snap);
       next_snap += trace.stride;
     }
+    trace.def_use.record(cpu);
     cpu.step_fast();
   }
   cpu.set_write_log(nullptr);
+  trace.def_use.seal();
   return trace;
 }
 
@@ -294,10 +329,37 @@ FaultInjector::BatchScratch& FaultInjector::scratch_for(const BatchContext& ctx)
       scratch.cpu.set_mem(addr, value);
     scratch.undo.clear();
     scratch.undo.reserve(256);
+    scratch.dead = 0;
     scratch.ctx_id = ctx.id;
   }
   return scratch;
 }
+
+namespace {
+
+/// True when flipping `site` at its cycle leaves the run equal to the golden
+/// run: the golden run next writes the location without reading it, or never
+/// touches it again. A never-touched output word is the exception — it ends
+/// up different from golden (DESIGN.md §11, "Dead sites").
+bool dead_site(const DefUseIndex& du, const Workload& w, const FaultSite& site) {
+  using Next = DefUseIndex::Next;
+  switch (site.target) {
+    case FaultTarget::kRegister:
+      return du.next_register_access(site.index, site.cycle) != Next::kRead;
+    case FaultTarget::kMemory: {
+      if (site.index >= du.data_words()) return false;
+      const Next next = du.next_memory_access(site.index, site.cycle);
+      const bool output =
+          site.index >= w.output_base && site.index < w.output_base + w.output_words;
+      return next == Next::kWrite || (next == Next::kNone && !output);
+    }
+    case FaultTarget::kInstruction:
+      return !du.fetched_from(site.index, site.cycle);
+  }
+  return false;
+}
+
+}  // namespace
 
 FaultRecord FaultInjector::inject_batched(const BatchContext& ctx, BatchScratch& scratch,
                                           const FaultSite& site) const {
@@ -334,6 +396,15 @@ FaultRecord FaultInjector::inject_batched(const BatchContext& ctx, BatchScratch&
   while (cpu.state() == RunState::kRunning && cpu.cycles() < site.cycle) cpu.step_fast();
   rec.active_instruction =
       cpu.state() == RunState::kRunning ? static_cast<std::int64_t>(cpu.pc()) : -1;
+
+  if (dead_site(ctx.trace.def_use, workload_, site)) {
+    // The faulty run is the golden run: benign, nothing to simulate.
+    ++scratch.dead;
+    rec.outcome = Outcome::kBenign;
+    cpu.set_write_log(nullptr);
+    for (auto it = undo.rbegin(); it != undo.rend(); ++it) cpu.set_mem(it->addr, it->before);
+    return rec;
+  }
 
   Instruction saved_instruction{};
   bool program_touched = false;
@@ -394,13 +465,11 @@ lore::CampaignSpec FaultInjector::resolved_spec(const lore::CampaignSpec& spec,
 template <typename Run>
 auto FaultInjector::with_trial_body(const lore::CampaignSpec& s, FaultTarget target,
                                     Run&& run) const {
-  const BatchContext ctx{workload_, golden_, build_golden_trace()};
-  return run([&](std::size_t t, lore::Rng& rng, const lore::CancelToken& cancel) {
-    cancel.throw_if_cancelled();
-    FaultRecord rec = inject_batched(ctx, scratch_for(ctx), random_site(rng, target));
-    rec.trial_seed = lore::trial_seed(s.base_seed, t);
-    return rec;
-  });
+  BatchContext ctx{workload_, golden_, build_golden_trace()};
+  if (obs::kCompiledIn && obs::enabled())
+    ctx.dead_sites = &obs::MetricsRegistry::global().counter("arch.fault.dead_site_trials");
+  TrialBody body{*this, ctx, target, s.base_seed};
+  return run(body);
 }
 
 lore::CampaignCheckpoint FaultInjector::campaign_shard(const lore::CampaignSpec& spec,

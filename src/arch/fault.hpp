@@ -174,15 +174,17 @@ class FaultInjector {
 
  private:
   // Batched campaign hot path (see fault.cpp): one instrumented golden
-  // replay per campaign yields periodic snapshots + an ordered store log;
-  // each trial then restores the nearest snapshot onto a thread-local
-  // scratch Cpu instead of re-running the golden prefix from scratch.
+  // replay per campaign yields periodic snapshots, an ordered store log and
+  // a def-use index; each trial then restores the nearest snapshot onto a
+  // thread-local scratch Cpu instead of re-running the golden prefix from
+  // scratch, and skips simulating a flip the golden run never reads again.
   // Bit-identical to `inject()` — enforced by the `simd`-labelled
   // differential tests.
   struct TraceSnap;
   struct GoldenTrace;
   struct BatchContext;
   struct BatchScratch;
+  struct TrialBody;
   GoldenTrace build_golden_trace() const;
   static BatchScratch& scratch_for(const BatchContext& ctx);
   FaultRecord inject_batched(const BatchContext& ctx, BatchScratch& scratch,
@@ -196,6 +198,7 @@ class FaultInjector {
 
   const Workload& workload_;
   GoldenRun golden_;
+  std::size_t data_words_;  // data_window_words(workload_)
 };
 
 /// Architectural vulnerability factor: fraction of injections whose outcome

@@ -179,8 +179,7 @@ std::vector<int> instruction_outcome_labels(const Program& p,
 FaultSiteFeaturizer::FaultSiteFeaturizer(const Workload& w, std::uint64_t golden_cycles) {
   inv_cycles_ = golden_cycles > 0 ? 1.0 / static_cast<double>(golden_cycles) : 0.0;
   // Same live data window as FaultInjector::random_site.
-  std::size_t mem_hi = w.output_base + w.output_words;
-  for (const auto& [addr, value] : w.memory_init) mem_hi = std::max(mem_hi, addr + 1);
+  const std::size_t mem_hi = data_window_words(w);
   inv_mem_ = mem_hi > 0 ? 1.0 / static_cast<double>(mem_hi) : 0.0;
   inv_prog_ = w.program.empty() ? 0.0 : 1.0 / static_cast<double>(w.program.size());
   reg_features_.reserve(kNumRegisters * kRegisterFeatureDim);

@@ -1,5 +1,6 @@
 #include "src/arch/workloads.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <sstream>
 
@@ -267,6 +268,12 @@ Workload make_random_program(std::size_t num_instructions, std::uint64_t seed) {
   w.max_cycles = 4 * num_instructions + 100;
   w.memory_words = 256;
   return w;
+}
+
+std::size_t data_window_words(const Workload& w) {
+  std::size_t hi = w.output_base + w.output_words;
+  for (const auto& [addr, value] : w.memory_init) hi = std::max(hi, addr + 1);
+  return hi;
 }
 
 std::vector<Workload> standard_workloads(std::size_t scale, std::uint64_t seed) {

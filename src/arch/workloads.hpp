@@ -27,6 +27,10 @@ struct Workload {
   std::size_t memory_words = 4096;
 };
 
+/// Words [0, n) of the workload's live data window: every initialized word
+/// and the output region. Memory fault sites are drawn from it.
+std::size_t data_window_words(const Workload& w);
+
 /// result = sum(a[i] * b[i]); random vectors of length n.
 Workload make_dot_product(std::size_t n, std::uint64_t seed);
 /// c = a * b for n x n matrices (row-major).

@@ -750,6 +750,7 @@ CampaignResult<Record> run_window(const CampaignSpec& spec, TrialRange window,
         }
         if (hooks.on_executed) hooks.on_executed(i, out.records[k], predicted_benign, audited);
       }
+      if constexpr (requires { trial.chunk_done(); }) trial.chunk_done();
       engine.chunk_done(window.begin + slot(jb), ok, pruned, audits, false_benign);
       if (ok > 0 && engine.encoding()) {
         CampaignCheckpoint batch = engine.frame();
@@ -773,7 +774,8 @@ CampaignResult<Record> run_window(const CampaignSpec& spec, TrialRange window,
 /// `trial(i, rng, cancel)` computes the record of trial `i` from a fresh Rng
 /// seeded with `trial_seed(spec.base_seed, i)` — on every attempt — so
 /// records are bit-identical for every thread count, chunk size and resume
-/// point.
+/// point. A body with a `chunk_done()` member has it called after each
+/// chunk, on the thread that ran the chunk, to flush per-thread tallies.
 ///
 /// The prune stage (DESIGN.md §13) runs when `hooks.predict` is set and the
 /// spec is plain (`plain_campaign_spec`): each chunk is scored before

@@ -157,24 +157,31 @@ TEST(SimdKernels, DispatchedWrappersFollowActiveDispatch) {
 // and thread count must reproduce the single-trial references exactly.
 
 TEST(SimdCampaignDifferential, FaultCampaignBitIdenticalToReference) {
+  // Every built-in kernel plus two random programs, so the dead-site rule of
+  // the batched body (DESIGN.md §11) meets loops, reductions, in-place
+  // sorts and forward branches; each record must equal its isolated replay.
   DispatchGuard dispatch_guard;
-  const auto w = arch::make_checksum(12, 5);
-  const arch::FaultInjector injector(w);
-  constexpr std::size_t kTrials = 300;
+  std::vector<arch::Workload> workloads = arch::standard_workloads(2, 17);
+  workloads.push_back(arch::make_random_program(60, 3));
+  workloads.push_back(arch::make_random_program(90, 8));
+  constexpr std::size_t kTrials = 2000;
   constexpr std::uint64_t kSeed = 2024;
-  for (const auto target : {arch::FaultTarget::kRegister, arch::FaultTarget::kMemory,
-                            arch::FaultTarget::kInstruction}) {
-    std::vector<arch::FaultRecord> reference;
-    for (std::size_t t = 0; t < kTrials; ++t)
-      reference.push_back(injector.replay_trial(trial_seed(kSeed, t), target));
-    for (const auto mode : {kernels::Dispatch::kScalar, kernels::Dispatch::kAvx2}) {
-      kernels::set_dispatch(mode);
-      for (const unsigned threads : {1u, 4u, 0u}) {
-        const auto batched = injector.campaign(kTrials, target, kSeed, threads);
-        EXPECT_TRUE(reference == batched)
-            << "target=" << static_cast<int>(target)
-            << " dispatch=" << kernels::dispatch_name(kernels::active_dispatch())
-            << " threads=" << threads;
+  for (const auto& w : workloads) {
+    const arch::FaultInjector injector(w);
+    for (const auto target : {arch::FaultTarget::kRegister, arch::FaultTarget::kMemory,
+                              arch::FaultTarget::kInstruction}) {
+      std::vector<arch::FaultRecord> reference;
+      for (std::size_t t = 0; t < kTrials; ++t)
+        reference.push_back(injector.replay_trial(trial_seed(kSeed, t), target));
+      for (const auto mode : {kernels::Dispatch::kScalar, kernels::Dispatch::kAvx2}) {
+        kernels::set_dispatch(mode);
+        for (const unsigned threads : {1u, 4u, 0u}) {
+          const auto batched = injector.campaign(kTrials, target, kSeed, threads);
+          EXPECT_TRUE(reference == batched)
+              << w.name << " target=" << static_cast<int>(target)
+              << " dispatch=" << kernels::dispatch_name(kernels::active_dispatch())
+              << " threads=" << threads;
+        }
       }
     }
   }
