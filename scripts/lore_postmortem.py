@@ -32,7 +32,7 @@ HEADER_FMT = "<8sIIQQIiIId"
 # tid u16, label[16], crc u32 (crc covers the first 60 bytes)
 RECORD_FMT = "<QdQdQBBH16sI"
 
-# lore.events.v1 kinds (src/obs/ring.hpp); index = wire value.
+# lore.events.v1 kinds (src/obs/event.hpp); index = wire value.
 KIND_NAMES = [
     "trial_completed", "trial_timeout", "trial_retry", "trial_failed",
     "checkpoint_written", "span_begin", "span_end", "alert",

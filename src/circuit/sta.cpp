@@ -2,11 +2,31 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 #include <sstream>
 
 #include "src/obs/obs.hpp"
 
 namespace lore::circuit {
+namespace {
+
+/// The STA instruments, resolved on first use: run() sits inside aging
+/// sweeps and timing-fault campaigns, so a registry lookup by name per run
+/// would take the registry mutex on every call.
+obs::Counter& runs_counter() {
+  static obs::Counter& c = obs::MetricsRegistry::global().counter("sta.runs");
+  return c;
+}
+obs::Counter& arc_evaluations_counter() {
+  static obs::Counter& c = obs::MetricsRegistry::global().counter("sta.arc_evaluations");
+  return c;
+}
+obs::Histogram& run_us_histogram() {
+  static obs::Histogram& h = obs::MetricsRegistry::global().histogram("sta.run_us");
+  return h;
+}
+
+}  // namespace
 
 device::StageTiming LibraryDelayModel::arc_timing(const Netlist& nl, std::size_t instance,
                                                   std::size_t pin, double in_slew_ps,
@@ -50,7 +70,9 @@ device::StageTiming InstanceTableDelayModel::arc_timing(const Netlist& nl,
 
 StaResult StaEngine::run(const Netlist& nl, const DelayModel& delays) const {
   LORE_OBS_SPAN(span, "circuit.sta.run");
-  LORE_OBS_TIMER(timer, "sta.run_us");
+  const bool metrics = obs::kCompiledIn && obs::enabled();
+  std::optional<obs::ScopedTimer> timer;
+  if (metrics) timer.emplace(run_us_histogram());
   // Arc evaluations are tallied locally and added once at the end, so the
   // exported counter is a deterministic function of the netlist.
   std::size_t arc_evaluations = 0;
@@ -133,8 +155,10 @@ StaResult StaEngine::run(const Netlist& nl, const DelayModel& delays) const {
       break;  // launched from a register: path starts here
   }
   std::reverse(r.critical_path.begin(), r.critical_path.end());
-  LORE_OBS_COUNT("sta.runs", 1);
-  LORE_OBS_COUNT("sta.arc_evaluations", arc_evaluations);
+  if (metrics) {
+    runs_counter().add(1);
+    arc_evaluations_counter().add(arc_evaluations);
+  }
   return r;
 }
 

@@ -75,8 +75,7 @@ void PruneController::disable(const char* reason) {
   if (tripped_.exchange(true, std::memory_order_relaxed)) return;  // first trip only
   if (obs::kCompiledIn && obs::enabled()) {
     obs::MetricsRegistry::global().counter("campaign.prune_trips").add(1);
-    if (obs::EventRing::global().enabled())
-      obs::emit_event(obs::EventKind::kAlert, audits(), false_benign_rate(), reason);
+    obs::emit_event(obs::EventKind::kAlert, audits(), false_benign_rate(), reason);
   }
 }
 

@@ -11,6 +11,46 @@
 #include "src/obs/obs.hpp"
 
 namespace lore {
+namespace {
+
+/// The engine's instruments, resolved on first use: parallel_for runs per
+/// campaign chunk and submit per strand, so a registry lookup by name on each
+/// call would take the registry mutex on the hot path.
+obs::Counter& trials_counter() {
+  static obs::Counter& c = obs::MetricsRegistry::global().counter("parallel.trials");
+  return c;
+}
+obs::Counter& trials_completed_counter() {
+  static obs::Counter& c = obs::MetricsRegistry::global().counter("parallel.trials_completed");
+  return c;
+}
+obs::Counter& claims_counter() {
+  static obs::Counter& c = obs::MetricsRegistry::global().counter("parallel.claims");
+  return c;
+}
+obs::Counter& chunks_counter() {
+  static obs::Counter& c = obs::MetricsRegistry::global().counter("parallel.chunks");
+  return c;
+}
+obs::Counter& suppressed_counter() {
+  static obs::Counter& c = obs::MetricsRegistry::global().counter("pool.suppressed_exceptions");
+  return c;
+}
+obs::Gauge& threads_gauge() {
+  static obs::Gauge& g = obs::MetricsRegistry::global().gauge("parallel.threads");
+  return g;
+}
+obs::Histogram& latency_histogram() {
+  static obs::Histogram& h = obs::MetricsRegistry::global().histogram("parallel.trial_latency_us");
+  return h;
+}
+obs::Histogram& queue_depth_histogram() {
+  static obs::Histogram& h = obs::MetricsRegistry::global().histogram(
+      "parallel.queue_depth", obs::Histogram::linear_bounds(0.0, 64.0, 33));
+  return h;
+}
+
+}  // namespace
 
 std::uint64_t trial_seed(std::uint64_t base_seed, std::uint64_t trial_index) {
   // splitmix64 finalizer — a bijection, so distinct trial indices under one
@@ -50,11 +90,9 @@ void ThreadPool::submit(std::function<void()> job) {
   }
   work_cv_.notify_one();
   // Queue pressure at submit time: how many jobs were queued or running when
-  // this one arrived (submit is per-strand, so the map lookup is cold-path).
+  // this one arrived.
   if (obs::kCompiledIn && obs::enabled())
-    obs::MetricsRegistry::global()
-        .histogram("parallel.queue_depth", obs::Histogram::linear_bounds(0.0, 64.0, 33))
-        .observe(static_cast<double>(depth));
+    queue_depth_histogram().observe(static_cast<double>(depth));
 }
 
 void ThreadPool::wait() {
@@ -67,8 +105,7 @@ void ThreadPool::wait() {
     if (suppressed == 0) std::rethrow_exception(error);
     // Later failures in the batch must not vanish: tally them and carry the
     // count in the rethrown message so callers see the blast radius.
-    if (obs::kCompiledIn && obs::enabled())
-      obs::MetricsRegistry::global().counter("pool.suppressed_exceptions").add(suppressed);
+    if (obs::kCompiledIn && obs::enabled()) suppressed_counter().add(suppressed);
     try {
       std::rethrow_exception(error);
     } catch (const std::exception& e) {
@@ -122,10 +159,9 @@ void parallel_for(std::size_t n, unsigned threads,
   constexpr std::size_t kLatencySampleStride = 16;
   obs::Histogram* latency = nullptr;
   if (obs::kCompiledIn && obs::enabled()) {
-    auto& registry = obs::MetricsRegistry::global();
-    registry.counter("parallel.trials").add(n);
-    registry.gauge("parallel.threads").set(static_cast<double>(team));
-    latency = &registry.histogram("parallel.trial_latency_us");
+    trials_counter().add(n);
+    threads_gauge().set(static_cast<double>(team));
+    latency = &latency_histogram();
   }
   const auto run_range = [&](std::size_t begin, std::size_t end,
                              std::vector<double>& samples) {
@@ -155,9 +191,8 @@ void parallel_for(std::size_t n, unsigned threads,
   // are keyed by index alone.
   const std::size_t claim =
       std::clamp<std::size_t>(n / (static_cast<std::size_t>(team) * 8), 1, 64);
-  obs::Counter* claims_counter = nullptr;
-  if (obs::kCompiledIn && obs::enabled())
-    claims_counter = &obs::MetricsRegistry::global().counter("parallel.claims");
+  obs::Counter* claims = nullptr;
+  if (obs::kCompiledIn && obs::enabled()) claims = &claims_counter();
   std::atomic<std::size_t> cursor{0};
   ThreadPool pool(team);
   for (unsigned w = 0; w < team; ++w) {
@@ -170,7 +205,7 @@ void parallel_for(std::size_t n, unsigned threads,
         ++my_claims;
         run_range(begin, std::min(n, begin + claim), samples);
       }
-      if (claims_counter && my_claims) claims_counter->add(my_claims);
+      if (claims && my_claims) claims->add(my_claims);
       if (latency) latency->observe_all(samples);
     });
   }
@@ -184,18 +219,17 @@ void parallel_for_chunks(std::size_t n, unsigned threads, std::size_t chunk,
   const std::size_t num_chunks = (n + chunk - 1) / chunk;
   const unsigned team = resolve_threads(threads, num_chunks);
 
-  obs::Counter* chunks_counter = nullptr;
+  obs::Counter* chunks = nullptr;
   if (obs::kCompiledIn && obs::enabled()) {
-    auto& registry = obs::MetricsRegistry::global();
-    registry.counter("parallel.trials").add(n);
-    registry.gauge("parallel.threads").set(static_cast<double>(team));
-    chunks_counter = &registry.counter("parallel.chunks");
+    trials_counter().add(n);
+    threads_gauge().set(static_cast<double>(team));
+    chunks = &chunks_counter();
   }
 
   if (team <= 1) {
     for (std::size_t begin = 0; begin < n; begin += chunk)
       fn(begin, std::min(n, begin + chunk));
-    if (chunks_counter) chunks_counter->add(num_chunks);
+    if (chunks) chunks->add(num_chunks);
     return;
   }
   std::atomic<std::size_t> cursor{0};
@@ -209,7 +243,7 @@ void parallel_for_chunks(std::size_t n, unsigned threads, std::size_t chunk,
         ++my_chunks;
         fn(begin, std::min(n, begin + chunk));
       }
-      if (chunks_counter && my_chunks) chunks_counter->add(my_chunks);
+      if (chunks && my_chunks) chunks->add(my_chunks);
     });
   }
   pool.wait();
@@ -217,10 +251,9 @@ void parallel_for_chunks(std::size_t n, unsigned threads, std::size_t chunk,
 
 void parallel_for_trials(std::size_t n, std::uint64_t base_seed, unsigned threads,
                          const std::function<void(std::size_t, Rng&)>& fn) {
-  // Resolve the completion counter once; per-trial updates are lock-free.
+  // Per-trial updates of the completion counter are lock-free.
   obs::Counter* completed = nullptr;
-  if (obs::kCompiledIn && obs::enabled())
-    completed = &obs::MetricsRegistry::global().counter("parallel.trials_completed");
+  if (obs::kCompiledIn && obs::enabled()) completed = &trials_completed_counter();
   parallel_for(n, threads, [&](std::size_t i) {
     Rng rng(trial_seed(base_seed, i));
     fn(i, rng);

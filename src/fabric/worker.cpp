@@ -12,9 +12,9 @@
 
 #include "src/fabric/protocol.hpp"
 #include "src/fabric/runners.hpp"
+#include "src/obs/event.hpp"
 #include "src/obs/flight.hpp"
 #include "src/obs/netutil.hpp"
-#include "src/obs/ring.hpp"
 #include "src/obs/serve.hpp"
 #include "src/obs/span.hpp"
 

@@ -12,12 +12,20 @@
 namespace lore::ml {
 namespace {
 
-/// `hdc.similarity_ops`, resolved on first use: similarity is the HDC inner
-/// kernel, so a registry lookup by name on every call would be a large share
-/// of its cost.
+/// The HDC counters, resolved on first use: similarity is the inner kernel
+/// and encode/flip run per record, so a registry lookup by name on every call
+/// would be a large share of their cost.
 obs::Counter& similarity_ops() {
   static obs::Counter& ops = obs::MetricsRegistry::global().counter("hdc.similarity_ops");
   return ops;
+}
+obs::Counter& component_flips() {
+  static obs::Counter& flips = obs::MetricsRegistry::global().counter("hdc.component_flips");
+  return flips;
+}
+obs::Counter& encodes() {
+  static obs::Counter& encodes = obs::MetricsRegistry::global().counter("hdc.encodes");
+  return encodes;
 }
 
 }  // namespace
@@ -97,7 +105,7 @@ Hypervector Hypervector::with_component_errors(double p, lore::Rng& rng) const {
       ++flips;
     }
   }
-  LORE_OBS_COUNT("hdc.component_flips", flips);
+  if (obs::kCompiledIn && obs::enabled()) component_flips().add(flips);
   return out;
 }
 
@@ -218,7 +226,7 @@ RecordEncoder::RecordEncoder(std::vector<std::pair<double, double>> ranges, Conf
 
 Hypervector RecordEncoder::encode(std::span<const double> features) const {
   assert(features.size() == per_feature_.size());
-  LORE_OBS_COUNT("hdc.encodes", 1);
+  if (obs::kCompiledIn && obs::enabled()) encodes().add(1);
   Accumulator acc(cfg_.dim);
   for (std::size_t f = 0; f < features.size(); ++f)
     acc.add(feature_ids_[f].bind(per_feature_[f].encode(features[f])));

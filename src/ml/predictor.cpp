@@ -9,6 +9,28 @@
 #include "src/obs/obs.hpp"
 
 namespace lore::ml {
+namespace {
+
+/// The predictor's instruments, resolved on first use.
+obs::Counter& trainings_counter() {
+  static obs::Counter& c = obs::MetricsRegistry::global().counter("ml.predictor.trainings");
+  return c;
+}
+obs::Counter& swaps_counter() {
+  static obs::Counter& c = obs::MetricsRegistry::global().counter("ml.predictor.swaps");
+  return c;
+}
+obs::Gauge& accuracy_gauge() {
+  static obs::Gauge& g =
+      obs::MetricsRegistry::global().gauge("ml.predictor.validation_accuracy");
+  return g;
+}
+obs::Gauge& version_gauge() {
+  static obs::Gauge& g = obs::MetricsRegistry::global().gauge("ml.predictor.version");
+  return g;
+}
+
+}  // namespace
 
 const char* predictor_model_name(PredictorModel m) {
   switch (m) {
@@ -162,9 +184,8 @@ bool Predictor::train_candidate() {
   candidate->validation_accuracy_ = accuracy;
 
   if (obs::kCompiledIn && obs::enabled()) {
-    auto& registry = obs::MetricsRegistry::global();
-    registry.counter("ml.predictor.trainings").add(1);
-    registry.gauge("ml.predictor.validation_accuracy").set(accuracy);
+    trainings_counter().add(1);
+    accuracy_gauge().set(accuracy);
   }
 
   // Swap only on a validation win: at least the floor AND no worse than the
@@ -176,9 +197,8 @@ bool Predictor::train_candidate() {
     snap_ = std::move(candidate);
   }
   if (obs::kCompiledIn && obs::enabled()) {
-    auto& registry = obs::MetricsRegistry::global();
-    registry.counter("ml.predictor.swaps").add(1);
-    registry.gauge("ml.predictor.version").set(static_cast<double>(version));
+    swaps_counter().add(1);
+    version_gauge().set(static_cast<double>(version));
   }
   return true;
 }

@@ -13,7 +13,7 @@ Json interval_to_json(const IntervalStats& iv) {
   j["t_end_us"] = iv.t_end_us;
   j["dt_s"] = iv.dt_s;
   j["events"] = iv.events;
-  j["events_dropped"] = iv.events_dropped;
+  j["events_dropped"] = std::uint64_t{0};  // schema field: counts cannot drop
   Json kinds = Json::object();
   for (std::size_t k = 0; k < kEventKindCount; ++k)
     kinds[event_kind_name(static_cast<EventKind>(k))] = iv.per_kind[k];
@@ -33,19 +33,17 @@ Json interval_to_json(const IntervalStats& iv) {
 
 #ifndef LORE_OBS_DISABLED
 
-Aggregator::Aggregator(AggregatorConfig cfg, MetricsRegistry& registry,
-                       EventRing& ring)
-    : cfg_(cfg), registry_(registry), ring_(ring), health_(cfg.health) {
+Aggregator::Aggregator(AggregatorConfig cfg, MetricsRegistry& registry)
+    : cfg_(cfg), registry_(registry), health_(cfg.health) {
   last_tick_us_ = TraceRecorder::now_us();
-  last_dropped_ = ring_.dropped();
+  last_kind_counts_ = event_counts();
 }
 
 Aggregator::~Aggregator() { stop(); }
 
 void Aggregator::start() {
   if (running_) return;
-  ring_.set_drop_counter(&registry_.counter("obs.events_dropped"));
-  ring_.set_enabled(true);
+  set_event_counting(true);
   running_ = true;
   if (cfg_.interval.count() > 0) {
     stop_requested_ = false;
@@ -62,8 +60,7 @@ void Aggregator::stop() {
   stop_cv_.notify_all();
   if (thread_.joinable()) thread_.join();
   tick();  // flush the tail interval so nothing emitted so far is lost
-  ring_.set_enabled(false);
-  ring_.set_drop_counter(nullptr);
+  set_event_counting(false);
   running_ = false;
 }
 
@@ -92,20 +89,15 @@ IntervalStats Aggregator::tick_locked() {
   iv.dt_s = (now - last_tick_us_) / 1e6;
   last_tick_us_ = now;
 
-  // 1. Event stream: drain the ring and tally per kind.
-  scratch_.clear();
-  ring_.drain(scratch_, cfg_.max_events_per_tick);
-  iv.events = scratch_.size();
-  for (const Event& e : scratch_) {
-    const auto k = static_cast<std::size_t>(e.kind);
-    if (k < kEventKindCount) ++iv.per_kind[k];
+  // 1. Event stream: per-kind count deltas since the previous tick.
+  const auto counts = event_counts();
+  for (std::size_t k = 0; k < kEventKindCount; ++k) {
+    iv.per_kind[k] = counts[k] - last_kind_counts_[k];
+    iv.events += iv.per_kind[k];
   }
-  const std::uint64_t dropped_now = ring_.dropped();
-  iv.events_dropped = dropped_now - last_dropped_;
-  last_dropped_ = dropped_now;
+  last_kind_counts_ = counts;
 
-  // 2. Exact counter deltas from the registry (monotonic totals -> interval
-  // deltas; unlike the ring these can never be dropped).
+  // 2. Counter deltas from the registry (monotonic totals -> interval deltas).
   const Snapshot snap = registry_.snapshot();
   const auto prev = [&](const std::string& name) -> std::uint64_t {
     const auto it = std::lower_bound(
@@ -165,16 +157,8 @@ IntervalStats Aggregator::tick_locked() {
   registry_.gauge("health.trials_per_s").set(iv.trials_per_s);
   if (!alerts.empty()) {
     registry_.counter("health.alerts").add(alerts.size());
-    for (const auto& a : alerts) {
-      Event e;
-      e.kind = EventKind::kAlert;
-      e.tid = TraceRecorder::thread_id();
-      e.t_us = iv.t_end_us;
-      e.a = a.interval_seq;
-      e.value = a.value;
-      e.set_label(a.signal);
-      ring_.try_push(e);  // picked up (and counted) by the next interval
-    }
+    // Counted by the next interval: this one's counts are already taken.
+    for (const auto& a : alerts) emit_event(EventKind::kAlert, a.interval_seq, a.value, a.signal);
   }
 
   history_.push_back(iv);
@@ -208,9 +192,8 @@ Json Aggregator::intervals_json() const {
 
 #else  // LORE_OBS_DISABLED: the pipeline compiles down to inert stubs.
 
-Aggregator::Aggregator(AggregatorConfig cfg, MetricsRegistry& registry,
-                       EventRing& ring)
-    : cfg_(cfg), registry_(registry), ring_(ring), health_(cfg.health) {}
+Aggregator::Aggregator(AggregatorConfig cfg, MetricsRegistry& registry)
+    : cfg_(cfg), registry_(registry), health_(cfg.health) {}
 Aggregator::~Aggregator() = default;
 void Aggregator::start() {}
 void Aggregator::stop() {}

@@ -1,15 +1,15 @@
 // Background aggregation for the live telemetry pipeline (DESIGN.md §10).
 //
 // An `Aggregator` periodically (or on manual `tick()`) does three things:
-//  1. drains the global `EventRing` and tallies the interval's events per
-//     kind (`lore.events.v1` event stream -> per-interval counts);
+//  1. differences the live per-kind event counts (event.hpp) against the
+//     previous tick (`lore.events.v1` event stream -> per-interval counts);
 //  2. snapshots `MetricsRegistry::global()` and differences the campaign /
 //     parallel counters against the previous snapshot, turning monotonic
 //     totals into per-interval deltas and rates (trials/s, timeout ratio,
 //     mean queue depth);
 //  3. feeds the interval into the `HealthMonitor`, publishes the `agg.*` and
-//     `health.*` gauges back into the registry, and emits `kAlert` events
-//     for any symptom the health loop raises.
+//     `health.*` gauges back into the registry, and emits a `kAlert` event
+//     (counted in the next interval) for any symptom the health loop raises.
 //
 // A bounded history of intervals is kept for the `/intervals.json` endpoint,
 // the bench artifacts (`BENCH_*.json` gains an `intervals` array), and
@@ -17,6 +17,7 @@
 // owner drives `tick()` manually (tests, deterministic flushes).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -29,7 +30,7 @@
 #include "src/obs/health.hpp"
 #include "src/obs/json.hpp"
 #include "src/obs/metrics.hpp"
-#include "src/obs/ring.hpp"
+#include "src/obs/event.hpp"
 
 namespace lore::obs {
 
@@ -40,12 +41,11 @@ struct IntervalStats {
   double t_end_us = 0.0;
   double dt_s = 0.0;
 
-  // Event-stream view (from the ring; subject to drop accounting).
+  // Event-count deltas (exact: counts cannot drop).
   std::uint64_t events = 0;
-  std::uint64_t events_dropped = 0;  // drops observed during this interval
   std::uint64_t per_kind[kEventKindCount] = {};
 
-  // Exact counter deltas (from the registry; never dropped).
+  // Registry counter deltas.
   std::uint64_t trials_completed = 0;  // campaign + parallel_for_trials
   std::uint64_t timeouts = 0;          // timed-out attempts
   std::uint64_t retries = 0;
@@ -66,25 +66,22 @@ struct AggregatorConfig {
   std::chrono::milliseconds interval{500};
   /// Intervals retained for /intervals.json and the bench artifact.
   std::size_t history = 240;
-  /// Events drained per tick at most (bounds tick latency under floods).
-  std::size_t max_events_per_tick = 65536;
   HealthConfig health;
 };
 
 class Aggregator {
  public:
   explicit Aggregator(AggregatorConfig cfg = {},
-                      MetricsRegistry& registry = MetricsRegistry::global(),
-                      EventRing& ring = EventRing::global());
+                      MetricsRegistry& registry = MetricsRegistry::global());
   ~Aggregator();
 
   Aggregator(const Aggregator&) = delete;
   Aggregator& operator=(const Aggregator&) = delete;
 
-  /// Enable the ring, attach the drop counter, and (when interval > 0)
-  /// spawn the aggregation thread. Idempotent.
+  /// Turn live event counting on and (when interval > 0) spawn the
+  /// aggregation thread. Idempotent.
   void start();
-  /// Final tick, then stop the thread and disable the ring.
+  /// Final tick, then stop the thread and turn event counting off.
   void stop();
   bool running() const { return running_.load(std::memory_order_relaxed); }
 
@@ -109,18 +106,16 @@ class Aggregator {
 
   AggregatorConfig cfg_;
   MetricsRegistry& registry_;
-  EventRing& ring_;
   HealthMonitor health_;
 
   mutable std::mutex mu_;          // guards history_ + tick state
   std::deque<IntervalStats> history_;
   std::uint64_t seq_ = 0;
   double last_tick_us_ = 0.0;
-  std::uint64_t last_dropped_ = 0;
+  std::array<std::uint64_t, kEventKindCount> last_kind_counts_{};
   std::vector<std::pair<std::string, std::uint64_t>> last_counters_;
   double last_queue_sum_ = 0.0;
   std::uint64_t last_queue_count_ = 0;
-  std::vector<Event> scratch_;
 
   std::thread thread_;
   std::mutex stop_mu_;

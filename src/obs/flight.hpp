@@ -19,6 +19,8 @@
 // silently wrong. `scripts/lore_postmortem.py` and `decode_flight_file`
 // both decode any ring, sealed or torn.
 //
+// It is the one sink that keeps whole event records: emit_event (event.hpp)
+// writes here while a ring is open, whether or not an Aggregator is counting.
 // The recorder is inert (one relaxed load per emit site) until open() — the
 // fabric worker opens one per process under `LORE_FLIGHT_DIR`, benches and
 // tests may point `LORE_FLIGHT` at a file directly.
@@ -31,7 +33,7 @@
 #include <string_view>
 #include <vector>
 
-#include "src/obs/ring.hpp"
+#include "src/obs/event.hpp"
 
 namespace lore::obs {
 
@@ -88,7 +90,7 @@ class FlightRecorder {
   /// when the environment asks for nothing (or open fails).
   static std::optional<std::string> init_from_env();
 
-  /// The process-wide recorder every emit_event dual-routes to.
+  /// The process-wide recorder emit_event writes to.
   static FlightRecorder& global();
 
  private:

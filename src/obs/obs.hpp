@@ -7,19 +7,20 @@
 // macros still honour the runtime switch (`LORE_OBS=0` env or
 // obs::set_enabled(false)), which reduces them to one predictable branch.
 //
-// The live half of the subsystem (DESIGN.md §10) — the event ring, the
-// Aggregator, the health loop, and the /metrics exposition server — follows
-// the same rule: LORE_OBS_EVENT costs one relaxed load while no pipeline is
-// running, and -DLORE_OBS=OFF compiles the pipeline down to inert stubs.
+// The live half of the subsystem (DESIGN.md §10) — the per-kind event
+// counts, the Aggregator, the health loop, and the /metrics exposition
+// server — follows the same rule: LORE_OBS_EVENT costs one branch while no
+// Aggregator runs and no flight ring is open, and -DLORE_OBS=OFF compiles
+// the pipeline down to inert stubs.
 #pragma once
 
 #include "src/obs/aggregate.hpp"
+#include "src/obs/event.hpp"
 #include "src/obs/export.hpp"
 #include "src/obs/flight.hpp"
 #include "src/obs/health.hpp"
 #include "src/obs/json.hpp"
 #include "src/obs/metrics.hpp"
-#include "src/obs/ring.hpp"
 #include "src/obs/serve.hpp"
 #include "src/obs/span.hpp"
 
@@ -78,9 +79,9 @@ inline constexpr bool kCompiledIn = true;
 /// Declare a trace span `var` named `name` on the global recorder.
 #define LORE_OBS_SPAN(var, name) ::lore::obs::Span var(name)
 
-/// Push one structured event onto every enabled stream (the global ring and
-/// the flight recorder) — one relaxed-load branch while neither is active,
-/// one CAS + 64-byte copy per active stream while one is.
+/// Route one structured event through emit_event — one branch while no sink
+/// is open; one relaxed count bump while an Aggregator runs, plus one 64-byte
+/// flight record while a flight ring is open.
 #define LORE_OBS_EVENT(kind, a, value)                                  \
   do {                                                                  \
     if (::lore::obs::event_stream_enabled())                            \

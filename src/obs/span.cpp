@@ -6,8 +6,8 @@
 #include <chrono>
 #include <cstdlib>
 
+#include "src/obs/event.hpp"
 #include "src/obs/export.hpp"
-#include "src/obs/ring.hpp"
 
 namespace lore::obs {
 namespace {
@@ -170,7 +170,7 @@ Span::Span(std::string name, std::string category)
     ctx_pushed_ = true;
   }
 #ifndef LORE_OBS_DISABLED
-  // Mirror span boundaries onto the live event streams (ring + flight
+  // Mirror span boundaries onto the live event sinks (counts + flight
   // recorder); the Chrome-trace recorder above stays the durable sink.
   // `a` carries the parent id, the record's own span field carries id_.
   if (stream) emit_event(EventKind::kSpanBegin, parent_, 0.0, name_);

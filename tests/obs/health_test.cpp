@@ -2,7 +2,7 @@
 // HealthMonitor threshold/recovery state machine, and the end-to-end
 // acceptance scenario — a campaign with injected hung trials drives the
 // Aggregator's timeout-rate symptom, degrades the health state, and raises a
-// `kAlert` event on the ring.
+// `kAlert` event that the next interval counts.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -167,7 +167,7 @@ TEST(HealthLoop, HungTrialsDegradeHealthAndRaiseAlertEvent) {
     found = found || a.signal == "health.timeout_rate";
   EXPECT_TRUE(found);
 
-  // The alert was also pushed onto the ring; the next interval drains it.
+  // The alert was also emitted as an event; the next interval counts it.
   const IntervalStats next = agg.tick();
   EXPECT_GE(next.per_kind[static_cast<std::size_t>(EventKind::kAlert)], 1u);
 
@@ -212,7 +212,7 @@ TEST(HealthLoop, AggregatorTurnsCountersIntoIntervalRates) {
   EXPECT_GT(iv.trials_per_s, 0.0);
   EXPECT_EQ(iv.timeout_rate, 0.0);
   EXPECT_EQ(agg.health_status().state, HealthState::kOk);
-  if (kCompiledIn)  // per-kind event tallies ride the (advisory) ring
+  if (kCompiledIn)  // per-kind event tallies come from the live event counts
     EXPECT_GT(iv.per_kind[static_cast<std::size_t>(EventKind::kTrialCompleted)], 0u);
 
   // A second, idle interval: deltas reset to zero, state stays ok.

@@ -2,8 +2,8 @@
 // `obs-off` preset (-DLORE_OBS=OFF -> LORE_OBS_DISABLED). It pins the
 // compile-out contract of the live pipeline: Pipeline::start succeeds exactly
 // when the subsystem is compiled in, campaigns still run (with events and
-// metrics macros reduced to nothing), and the always-compiled pieces (ring,
-// JSON, schema stubs) behave identically.
+// metrics macros reduced to nothing), and the always-compiled pieces (JSON,
+// schema stubs) behave identically.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -45,18 +45,6 @@ TEST(ObsOffSmoke, CampaignRunsRegardlessOfBuild) {
   ASSERT_TRUE(result.report.complete());
   for (std::size_t i = 0; i < spec.trials; ++i)
     EXPECT_EQ(result.records[i], static_cast<int>(i * 2));
-}
-
-TEST(ObsOffSmoke, RingIsAlwaysFunctional) {
-  EventRing ring(8);
-  Event e;
-  e.kind = EventKind::kCheckpointWritten;
-  e.a = 5;
-  EXPECT_TRUE(ring.try_push(e));
-  Event out;
-  ASSERT_TRUE(ring.try_pop(out));
-  EXPECT_EQ(out.kind, EventKind::kCheckpointWritten);
-  EXPECT_EQ(out.a, 5u);
 }
 
 TEST(ObsOffSmoke, IntervalsSchemaIsStableInBothBuilds) {

@@ -1,20 +1,24 @@
 // Crash-safe flight recorder (`lore.flight.v1`, DESIGN.md §15): mmap ring
 // round trips, wraparound windowing, CRC-based torn-slot recovery, and the
 // two death modes the format exists for — a fatal signal sealing the header
-// from the handler, and SIGKILL leaving a torn-but-decodable ring behind.
+// from the handler, and SIGKILL leaving a torn-but-decodable ring behind —
+// and emit_event's routing: every event reaches an open ring, whether or not
+// an Aggregator is counting.
 // Child processes do the dying; the parent decodes what they left on disk.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
 
-#include "src/obs/flight.hpp"
+#include "src/common/campaign.hpp"
+#include "src/obs/obs.hpp"
 
 namespace {
 
@@ -216,6 +220,100 @@ TEST(FlightRecorder, EmitEventDualRoutesIntoTheRing) {
   EXPECT_EQ(dump->records[0].a, 17u);
   EXPECT_DOUBLE_EQ(dump->records[0].value, 512.0);
   EXPECT_EQ(dump->records[0].label, "chunk");
+  std::remove(path.c_str());
+}
+
+TEST(FlightRecorder, EmitEventFillsTimestampAndLabel) {
+  const std::string path = temp_ring_path("emitfill");
+  FlightRecorder& rec = FlightRecorder::global();
+  ASSERT_TRUE(rec.open(path, 64));
+  emit_event(EventKind::kSpanEnd, 3, 42.0, "roi");
+  rec.close();
+
+  const auto dump = decode_flight_file(path);
+  ASSERT_TRUE(dump.has_value());
+  ASSERT_EQ(dump->records.size(), 1u);
+  const FlightRecord& r = dump->records[0];
+  EXPECT_EQ(r.kind, EventKind::kSpanEnd);
+  EXPECT_EQ(r.a, 3u);
+  EXPECT_DOUBLE_EQ(r.value, 42.0);
+  EXPECT_EQ(r.label, "roi");
+  EXPECT_GT(r.t_us, 0.0);
+  EXPECT_EQ(r.tid, static_cast<std::uint16_t>(TraceRecorder::thread_id()));
+  std::remove(path.c_str());
+}
+
+// A record's label field is 16 bytes: labels keep their first 15 bytes and
+// stay NUL-terminated.
+TEST(FlightRecorder, LabelsAreCutToFifteenBytes) {
+  const std::string path = temp_ring_path("label");
+  FlightRecorder& rec = FlightRecorder::global();
+  ASSERT_TRUE(rec.open(path, 64));
+  emit_event(EventKind::kSpanBegin, 0, 0.0, "scenario.stage/rollback");
+  rec.close();
+
+  const auto dump = decode_flight_file(path);
+  ASSERT_TRUE(dump.has_value());
+  ASSERT_EQ(dump->records.size(), 1u);
+  EXPECT_EQ(dump->records[0].label, "scenario.stage/");
+  std::remove(path.c_str());
+}
+
+// A prune-controller trip reaches an open flight ring even when no
+// Aggregator is counting events.
+TEST(FlightRecorder, PruneTripIsRecordedWithoutAnAggregator) {
+  if (!kCompiledIn) GTEST_SKIP() << "instrumentation compiled out (-DLORE_OBS=OFF)";
+  const bool was = enabled();
+  set_enabled(true);
+  const std::string path = temp_ring_path("prune");
+  FlightRecorder& rec = FlightRecorder::global();
+  ASSERT_TRUE(rec.open(path, 64));
+  lore::PruneController controller({.false_benign_alert = 0.2, .min_audits = 4});
+  for (int i = 0; i < 8; ++i) controller.record_audit(/*was_benign=*/false);
+  ASSERT_TRUE(controller.tripped());
+  rec.close();
+  set_enabled(was);
+
+  const auto dump = decode_flight_file(path);
+  ASSERT_TRUE(dump.has_value());
+  ASSERT_EQ(dump->records.size(), 1u);  // tripped once, recorded once
+  EXPECT_EQ(dump->records[0].kind, EventKind::kAlert);
+  EXPECT_EQ(dump->records[0].a, 4u);  // audits at the trip
+  EXPECT_DOUBLE_EQ(dump->records[0].value, 1.0);
+  EXPECT_EQ(dump->records[0].label, "campaign.prune.");
+  std::remove(path.c_str());
+}
+
+// A health alert raised by Aggregator::tick goes through emit_event too: the
+// next interval counts it, and an open flight ring records it.
+TEST(FlightRecorder, HealthAlertIsCountedAndRecorded) {
+  if (!kCompiledIn) GTEST_SKIP() << "live pipeline compiled out (-DLORE_OBS=OFF)";
+  const std::string path = temp_ring_path("alert");
+  FlightRecorder& rec = FlightRecorder::global();
+  ASSERT_TRUE(rec.open(path, 64));
+  MetricsRegistry registry;
+  AggregatorConfig cfg;
+  cfg.interval = std::chrono::milliseconds(0);
+  Aggregator agg(cfg, registry);
+  agg.start();
+  registry.counter("campaign.timeouts").add(5);  // every attempt timed out
+  const IntervalStats raised = agg.tick();
+  const IntervalStats next = agg.tick();
+  agg.stop();
+  rec.close();
+
+  constexpr auto kAlert = static_cast<std::size_t>(EventKind::kAlert);
+  EXPECT_EQ(raised.alerts, 1u);
+  EXPECT_EQ(raised.per_kind[kAlert], 0u);
+  EXPECT_EQ(next.per_kind[kAlert], 1u);
+
+  const auto dump = decode_flight_file(path);
+  ASSERT_TRUE(dump.has_value());
+  ASSERT_EQ(dump->records.size(), 1u);
+  EXPECT_EQ(dump->records[0].kind, EventKind::kAlert);
+  EXPECT_EQ(dump->records[0].a, raised.seq);
+  EXPECT_DOUBLE_EQ(dump->records[0].value, 1.0);
+  EXPECT_EQ(dump->records[0].label, "health.timeout_");
   std::remove(path.c_str());
 }
 

@@ -2,15 +2,20 @@
 // generation, the hex wire codec, ambient TraceContext propagation through
 // TraceContextScope and Span nesting, the parent/trace fields recorded into
 // TraceEvents, the Chrome-trace export of those ids, and the ambient span id
-// stamped onto ring events.
+// stamped onto flight-ring records.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "src/obs/event.hpp"
 #include "src/obs/export.hpp"
-#include "src/obs/ring.hpp"
+#include "src/obs/flight.hpp"
 #include "src/obs/span.hpp"
 
 namespace {
@@ -169,30 +174,31 @@ TEST(TraceContext, ChromeExportCarriesIdsAndProcessLanes) {
 }
 
 TEST(TraceContext, RingEventsCarryAmbientSpanId) {
-  auto& ring = EventRing::global();
-  Event drain;
-  while (ring.try_pop(drain)) {
-  }
-  ring.set_enabled(true);
+  const std::string path =
+      testing::TempDir() + "lore_span_ring_" + std::to_string(::getpid()) + ".ring";
+  FlightRecorder& flight = FlightRecorder::global();
+  ASSERT_TRUE(flight.open(path, 64));
+  std::uint64_t span_id = 0;
   {
     RecorderOn on;
     TraceContextScope scope(TraceContext{make_trace_id(), 0});
     Span s("emitter");
+    span_id = s.id();
     emit_event(EventKind::kTrialCompleted, 11, 1.0);
-    Event got;
-    bool found = false;
-    while (ring.try_pop(got)) {
-      if (got.kind == EventKind::kTrialCompleted && got.a == 11) {
-        found = true;
-        break;
-      }
-    }
-    ASSERT_TRUE(found);
-    EXPECT_EQ(got.span, s.id());
   }
-  ring.set_enabled(false);
-  while (ring.try_pop(drain)) {
+  flight.close();
+
+  const auto dump = decode_flight_file(path);
+  ASSERT_TRUE(dump.has_value());
+  std::size_t found = 0;
+  for (const auto& r : dump->records) {
+    if (r.kind != EventKind::kTrialCompleted || r.a != 11) continue;
+    ++found;
+    EXPECT_NE(span_id, 0u);
+    EXPECT_EQ(r.span, span_id);
   }
+  EXPECT_EQ(found, 1u);
+  std::remove(path.c_str());
 }
 
 TEST(TraceContext, SpansCostNothingWhenEverythingIsOff) {
