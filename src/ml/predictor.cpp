@@ -11,7 +11,7 @@
 namespace lore::ml {
 namespace {
 
-/// The predictor's instruments, resolved on first use.
+/// The predictor's counters, resolved on first use.
 obs::Counter& trainings_counter() {
   static obs::Counter& c = obs::MetricsRegistry::global().counter("ml.predictor.trainings");
   return c;
@@ -19,15 +19,6 @@ obs::Counter& trainings_counter() {
 obs::Counter& swaps_counter() {
   static obs::Counter& c = obs::MetricsRegistry::global().counter("ml.predictor.swaps");
   return c;
-}
-obs::Gauge& accuracy_gauge() {
-  static obs::Gauge& g =
-      obs::MetricsRegistry::global().gauge("ml.predictor.validation_accuracy");
-  return g;
-}
-obs::Gauge& version_gauge() {
-  static obs::Gauge& g = obs::MetricsRegistry::global().gauge("ml.predictor.version");
-  return g;
 }
 
 }  // namespace
@@ -185,7 +176,7 @@ bool Predictor::train_candidate() {
 
   if (obs::kCompiledIn && obs::enabled()) {
     trainings_counter().add(1);
-    accuracy_gauge().set(accuracy);
+    obs::MetricsRegistry::global().gauge("ml.predictor.validation_accuracy").set(accuracy);
   }
 
   // Swap only on a validation win: at least the floor AND no worse than the
@@ -198,7 +189,7 @@ bool Predictor::train_candidate() {
   }
   if (obs::kCompiledIn && obs::enabled()) {
     swaps_counter().add(1);
-    version_gauge().set(static_cast<double>(version));
+    obs::MetricsRegistry::global().gauge("ml.predictor.version").set(static_cast<double>(version));
   }
   return true;
 }
