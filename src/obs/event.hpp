@@ -64,7 +64,7 @@ inline const char* event_kind_name(EventKind k) {
 
 /// True while any sink wants events: counting is live or a flight recorder
 /// is open. The one-branch producer gate of LORE_OBS_EVENT and Span's event
-/// mirror — two relaxed loads while nothing listens.
+/// mirror — two atomic loads while nothing listens.
 bool event_stream_enabled();
 
 /// Route one event to every open sink: bump its kind's count while counting
