@@ -72,6 +72,19 @@ TEST(Segmentation, SpreadAcrossRange) {
   EXPECT_GT(hi, 200000u);
 }
 
+TEST(Segmentation, DefaultNominalCyclesPinned) {
+  // The default Section V workload (seed 89, 24 segments) that every Fig. 5/6
+  // number is drawn against.
+  const std::vector<std::uint64_t> expected{
+      79262,  150984, 232623, 115781, 147318, 111880, 91153,  199018,
+      201697, 126074, 232999, 84620,  162546, 73622,  47020,  222189,
+      222988, 165930, 117003, 220027, 168139, 195634, 157564, 226842};
+  const auto segments = segment_adpcm_workload(SegmentationConfig{});
+  ASSERT_EQ(segments.size(), expected.size());
+  for (std::size_t i = 0; i < segments.size(); ++i)
+    EXPECT_EQ(segments[i].nominal_cycles, expected[i]) << "segment " << i;
+}
+
 TEST(Segmentation, DeterministicPerSeed) {
   const auto a = segment_adpcm_workload(SegmentationConfig{.seed = 4});
   const auto b = segment_adpcm_workload(SegmentationConfig{.seed = 4});
