@@ -95,10 +95,15 @@ double Rng::exponential(double lambda) {
 std::uint64_t Rng::geometric(double p) {
   assert(p > 0.0 && p <= 1.0);
   if (p >= 1.0) return 0;
+  return geometric_log1m(std::log1p(-p));
+}
+
+std::uint64_t Rng::geometric_log1m(double log1m_p) {
+  assert(log1m_p < 0.0);
   // Inversion: floor(log(U) / log(1-p)). Clamp before the cast: for tiny p
   // the quotient can exceed the uint64 range (the cast would be UB).
   const double u = 1.0 - uniform();  // in (0, 1]
-  const double n = std::floor(std::log(u) / std::log1p(-p));
+  const double n = std::floor(std::log(u) / log1m_p);
   constexpr double kMax = 9.0e18;
   return n >= kMax ? static_cast<std::uint64_t>(kMax) : static_cast<std::uint64_t>(n);
 }

@@ -46,6 +46,9 @@ class Rng {
   double exponential(double lambda);
   /// Geometric: number of failures before first success, success prob p in (0,1].
   std::uint64_t geometric(double p);
+  /// geometric(p) given the precomputed `log1m_p = log1p(-p)` (< 0), for
+  /// callers that draw many times at one p. Same draw, same value.
+  std::uint64_t geometric_log1m(double log1m_p);
   /// Poisson with mean lambda (inversion for small, normal approx for large).
   std::uint64_t poisson(double lambda);
   /// Weibull(shape k, scale lambda).

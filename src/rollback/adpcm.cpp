@@ -113,17 +113,15 @@ std::vector<Segment> segment_adpcm_workload(const SegmentationConfig& cfg) {
       static_cast<double>(adpcm_cycle_cost(1000) - 20) / 1000.0;
   for (std::size_t s = 0; s < cfg.num_segments; ++s) {
     // Draw the block length so the segment lands uniformly in the paper's
-    // cycle range (the encoder genuinely runs; this fixes its block size).
+    // cycle range; the encoder's operation-count model prices the block.
     const auto target = static_cast<std::uint64_t>(
         rng.uniform(static_cast<double>(cfg.min_cycles), static_cast<double>(cfg.max_cycles)));
     const auto block_samples =
         static_cast<std::size_t>(static_cast<double>(target) / cycles_per_sample);
-    // Run the encoder over the block (keeps the workload real and lets the
-    // cost model stay honest).
-    const auto pcm = synth_audio(std::min<std::size_t>(block_samples, 8192),
-                                 rng.next_u64());
-    const auto codes = adpcm_encode(pcm);
-    assert(codes.size() == pcm.size());
+    // The block's audio seed: segmentation used to synthesize and encode the
+    // block here and drop the codes. The draw stays so every later segment
+    // keeps its length.
+    rng.next_u64();
     segments.push_back(Segment{adpcm_cycle_cost(block_samples)});
   }
   return segments;

@@ -1,9 +1,9 @@
 // IMA ADPCM encoder and the workload segmentation used by Section V of the
 // paper. The authors benchmarked TACLeBench's ADPCM lower sub-band block on
 // the Ariane RISC-V RTL and segmented it into 40k-270k-cycle atomic units;
-// LORE substitutes a real integer ADPCM encoder with an operation-count cycle
-// model and reproduces the same segment-length distribution (DESIGN.md
-// substitution #2).
+// LORE substitutes a real integer ADPCM encoder plus an operation-count model
+// of its inner loop, and reproduces the same segment-length distribution from
+// that model (DESIGN.md substitution #2).
 #pragma once
 
 #include <cstdint>
@@ -47,7 +47,8 @@ struct SegmentationConfig {
 
 /// Segment the ADPCM encoding of a synthetic audio buffer: per-block cycle
 /// cost comes from an operation-count model of the encoder inner loop, with
-/// block sizes chosen so nominal cycles land in [min, max].
+/// block sizes chosen so nominal cycles land in [min, max]. Only the model
+/// runs; the encoder itself is not invoked.
 std::vector<Segment> segment_adpcm_workload(const SegmentationConfig& cfg);
 
 /// Cycle cost of encoding `samples` PCM samples (operation-count model of

@@ -25,13 +25,17 @@ double expected_rollbacks(double p, std::uint64_t cycles) {
   return (1.0 - q) / q;
 }
 
+RollbackSampler::RollbackSampler(double p, std::uint64_t cycles)
+    : q_(prob_error_free(p, cycles)), log1m_q_(std::log1p(-q_)) {}
+
+std::uint64_t RollbackSampler::draw(lore::Rng& rng) const {
+  if (q_ <= 1e-12) return kCap;
+  if (q_ >= 1.0) return 0;
+  return std::min<std::uint64_t>(kCap, rng.geometric_log1m(log1m_q_));
+}
+
 std::uint64_t sample_rollbacks(double p, std::uint64_t cycles, lore::Rng& rng) {
-  const double q = prob_error_free(p, cycles);
-  // Essentially-never-succeeding attempts: cap the count so downstream cycle
-  // arithmetic stays in range ("the run never converges" regime).
-  constexpr std::uint64_t kCap = 1000000;
-  if (q <= 1e-12) return kCap;
-  return std::min<std::uint64_t>(kCap, rng.geometric(q));
+  return RollbackSampler(p, cycles).draw(rng);
 }
 
 std::uint64_t segment_total_cycles(std::uint64_t nominal_cycles, std::uint64_t rollbacks,
@@ -55,7 +59,7 @@ std::uint64_t sample_segment_cycles(double p, std::uint64_t nominal_cycles,
                                     std::uint64_t* rollbacks_out) {
   // The vulnerable window of an attempt is the segment plus its checkpoint.
   const std::uint64_t window = nominal_cycles + params.checkpoint_cycles;
-  const std::uint64_t n = sample_rollbacks(p, window, rng);
+  const std::uint64_t n = RollbackSampler(p, window).draw(rng);
   if (rollbacks_out != nullptr) *rollbacks_out = n;
   return segment_total_cycles(nominal_cycles, n, params);
 }

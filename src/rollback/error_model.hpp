@@ -31,6 +31,28 @@ double prob_rollbacks(double p, std::uint64_t cycles, std::uint64_t n);
 /// Closed-form mean of Eq. (2): E[N_rb] = (1-q)/q.
 double expected_rollbacks(double p, std::uint64_t cycles);
 
+/// Eq. (2) sampler prepared for one (p, window) pair: q = (1-p)^{n_c} and
+/// log(1-q) do not depend on the draw, so they are computed once and each
+/// draw costs one uniform and one log. Every rollback count in the library
+/// is drawn here.
+class RollbackSampler {
+ public:
+  /// Count drawn when attempts essentially never succeed (q <= 1e-12): it
+  /// keeps downstream cycle arithmetic in range ("the run never converges").
+  static constexpr std::uint64_t kCap = 1000000;
+
+  RollbackSampler() = default;
+  RollbackSampler(double p, std::uint64_t cycles);
+
+  /// One rollback count. q <= 1e-12 returns kCap and q >= 1 returns 0, both
+  /// without touching `rng`.
+  std::uint64_t draw(lore::Rng& rng) const;
+
+ private:
+  double q_ = 1.0;
+  double log1m_q_ = 0.0;
+};
+
 /// Sample a rollback count from Eq. (2).
 std::uint64_t sample_rollbacks(double p, std::uint64_t cycles, lore::Rng& rng);
 

@@ -1,10 +1,13 @@
 #include "src/rollback/montecarlo.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "src/common/parallel.hpp"
 #include "src/common/stats.hpp"
@@ -17,24 +20,35 @@ namespace {
 /// Monte Carlo run streams derived from the same experiment seed.
 constexpr std::uint64_t kCalibrationTag = 0x63616c6962726174ULL;  // "calibrat"
 
-/// Outcomes of one Monte Carlo run, aligned with the scheduler list.
+/// Most schedulers one run is scored against: one per SchedulerKind.
+constexpr std::size_t kMaxSchedulers = 5;
+
+/// Outcomes of one Monte Carlo run, aligned with the scheduler list. Fixed
+/// capacity, so a trial does not allocate.
 struct RunSample {
   double rollbacks = 0.0;
-  std::vector<double> hit_rate;
+  std::size_t schedulers = 0;
+  std::array<double, kMaxSchedulers> hit_rate{};
 };
 
+/// Byte layout (unchanged since the scores lived in a vector, so older
+/// checkpoints resume): rollbacks f64, score count u64, one f64 per score.
 struct RunSampleCodec {
   static void encode(lore::ByteWriter& w, const RunSample& r) {
     w.put_f64(r.rollbacks);
-    w.put_u64(r.hit_rate.size());
-    for (const double v : r.hit_rate) w.put_f64(v);
+    w.put_u64(r.schedulers);
+    for (std::size_t k = 0; k < r.schedulers; ++k) w.put_f64(r.hit_rate[k]);
   }
   static RunSample decode(lore::ByteReader& r) {
     RunSample rec;
     rec.rollbacks = r.get_f64();
     const std::uint64_t n = r.get_u64();
-    rec.hit_rate.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) rec.hit_rate.push_back(r.get_f64());
+    if (n > kMaxSchedulers)
+      throw lore::CheckpointError("rollback run record: " + std::to_string(n) +
+                                  " scheduler scores exceed the capacity of " +
+                                  std::to_string(kMaxSchedulers));
+    rec.schedulers = static_cast<std::size_t>(n);
+    for (std::size_t k = 0; k < rec.schedulers; ++k) rec.hit_rate[k] = r.get_f64();
     return rec;
   }
 };
@@ -108,56 +122,91 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
   LORE_OBS_COUNT("rollback.sweep_points", n_points);
   LORE_OBS_COUNT("rollback.mc_runs", n_points * runs);
 
-  // Static budgets are p-independent; DS-ML recalibrates per point (it sees
-  // the field error rate through its calibration runs). Both are computed
-  // serially up front — they are cheap and every Monte Carlo trial reads them
-  // read-only, so the campaign body stays a pure function of its trial index.
+  // Everything a run does not draw is computed serially up front, and every
+  // Monte Carlo trial reads it read-only, so the campaign body stays a pure
+  // function of its trial index:
+  //  - per (point, segment), the prepared Eq. (2) sampler;
+  //  - per (point, segment, scheduler), the cumulative deadline: the running
+  //    sum of that scheduler's budgets in segment order, the same additions
+  //    simulate_run makes. Static budgets are p-independent; DS-ML
+  //    recalibrates per point (it sees the field error rate through its
+  //    calibration runs).
+  const std::vector<Segment>& segments = result.segments;
+  const std::size_t n_seg = segments.size();
+  const std::size_t n_sched = schedulers.size();
+  if (n_sched > kMaxSchedulers)
+    throw std::invalid_argument("run_experiment: more than " +
+                                std::to_string(kMaxSchedulers) + " schedulers");
+  const CheckpointParams& checkpoint = cfg.mitigation.checkpoint;
   std::map<SchedulerKind, std::vector<double>> budgets;
   for (auto kind : schedulers)
     if (kind != SchedulerKind::kDsLearned)
-      budgets[kind] = static_budgets(kind, result.segments, cfg.mitigation.checkpoint);
+      budgets[kind] = static_budgets(kind, segments, checkpoint);
+  const bool wants_learned = std::find(schedulers.begin(), schedulers.end(),
+                                       SchedulerKind::kDsLearned) != schedulers.end();
 
-  const bool wants_learned =
-      std::find(schedulers.begin(), schedulers.end(), SchedulerKind::kDsLearned) !=
-      schedulers.end();
-  std::vector<std::vector<double>> learned_budgets(wants_learned ? n_points : 0);
-  for (std::size_t pi = 0; wants_learned && pi < n_points; ++pi) {
-    LearnedBudgetScheduler learned;
-    lore::Rng calib_rng(lore::trial_seed(cfg.campaign.base_seed ^ kCalibrationTag, pi));
-    learned.calibrate(result.segments, cfg.error_probabilities[pi],
-                      cfg.mitigation.checkpoint, 10, calib_rng);
-    learned_budgets[pi] = learned.budgets(result.segments, cfg.mitigation.checkpoint);
+  std::vector<RollbackSampler> samplers(n_points * n_seg);
+  std::vector<double> deadlines(n_points * n_seg * n_sched);
+  for (std::size_t pi = 0; pi < n_points; ++pi) {
+    const double p = cfg.error_probabilities[pi];
+    for (std::size_t i = 0; i < n_seg; ++i)
+      samplers[pi * n_seg + i] =
+          RollbackSampler(p, segments[i].nominal_cycles + checkpoint.checkpoint_cycles);
+    std::vector<double> learned;
+    if (wants_learned) {
+      LearnedBudgetScheduler scheduler;
+      lore::Rng calib_rng(lore::trial_seed(cfg.campaign.base_seed ^ kCalibrationTag, pi));
+      scheduler.calibrate(segments, p, checkpoint, 10, calib_rng);
+      learned = scheduler.budgets(segments, checkpoint);
+    }
+    for (std::size_t k = 0; k < n_sched; ++k) {
+      const auto& budget =
+          schedulers[k] == SchedulerKind::kDsLearned ? learned : budgets.at(schedulers[k]);
+      double cum_deadline = 0.0;
+      for (std::size_t i = 0; i < n_seg; ++i) {
+        cum_deadline += budget[i];
+        deadlines[(pi * n_seg + i) * n_sched + k] = cum_deadline;
+      }
+    }
   }
 
   // One campaign trial per (sweep point, run): trial pi*runs+run draws its
   // stream from the (point, run) counter — ignoring the engine's trial rng —
   // so the realizations are exactly the ones the pre-campaign serial sweep
-  // produced, and each run plays every scheduler against the same error
-  // realization (paired comparison).
+  // produced. The run draws its rollback sequence once and scores it against
+  // every scheduler (paired comparison): each segment's committed cycles
+  // extend one running total, checked against each scheduler's cumulative
+  // deadline — simulate_run's arithmetic, in its order, per scheduler.
   lore::CampaignSpec spec = cfg.campaign;
   spec.trials = n_points * runs;
   if (spec.domain.empty()) spec.domain = experiment_domain(cfg, schedulers);
 
   auto campaign = lore::run_campaign<RunSample, RunSampleCodec>(
       spec, [&](std::size_t t, lore::Rng&, const lore::CancelToken& cancel) {
+        cancel.throw_if_cancelled();
         const std::size_t pi = t / runs;
         const std::size_t run = t % runs;
-        const double p = cfg.error_probabilities[pi];
-        const std::uint64_t point_seed = lore::trial_seed(cfg.campaign.base_seed, pi);
-        RunSample sample;
-        sample.hit_rate.reserve(schedulers.size());
-        for (auto kind : schedulers) {
-          cancel.throw_if_cancelled();
-          const auto& budget = kind == SchedulerKind::kDsLearned
-                                   ? learned_budgets[pi]
-                                   : budgets.at(kind);
-          lore::Rng run_rng(lore::trial_seed(point_seed, run));
-          const auto outcome =
-              simulate_run(result.segments, budget, p, cfg.mitigation, run_rng);
-          sample.hit_rate.push_back(outcome.deadline_hit_rate);
-          if (sample.hit_rate.size() == 1)
-            sample.rollbacks = outcome.mean_rollbacks_per_segment;
+        const RollbackSampler* sampler = &samplers[pi * n_seg];
+        const double* deadline = &deadlines[pi * n_seg * n_sched];
+        lore::Rng rng(lore::trial_seed(lore::trial_seed(cfg.campaign.base_seed, pi), run));
+        std::array<std::size_t, kMaxSchedulers> hits{};
+        std::uint64_t total_rollbacks = 0;
+        double cum_executed = 0.0;  // committed cycles normalized to nominal speed
+        for (std::size_t i = 0; i < n_seg; ++i) {
+          const std::uint64_t rollbacks = sampler[i].draw(rng);
+          total_rollbacks += rollbacks;
+          const std::uint64_t cycles =
+              segment_total_cycles(segments[i].nominal_cycles, rollbacks, checkpoint);
+          cum_executed += static_cast<double>(cycles) / cfg.mitigation.speed_ratio;
+          for (std::size_t k = 0; k < n_sched; ++k)
+            hits[k] += cum_executed <= deadline[i * n_sched + k];
         }
+        RunSample sample;
+        sample.rollbacks =
+            static_cast<double>(total_rollbacks) / static_cast<double>(n_seg);
+        sample.schedulers = n_sched;
+        for (std::size_t k = 0; k < n_sched; ++k)
+          sample.hit_rate[k] = static_cast<double>(hits[k]) / static_cast<double>(n_seg);
         return sample;
       });
   result.campaign_report = campaign.report;
