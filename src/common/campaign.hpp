@@ -700,6 +700,9 @@ CampaignResult<Record> run_window(const CampaignSpec& spec, TrialRange window,
                       std::span<const std::uint64_t>(seeds), benign);
       }
       const bool events = obs::kCompiledIn && obs::event_stream_enabled();
+      // Only a flight record keeps a trial's duration (counting keeps the
+      // kind alone), so the clock is read only while a flight ring is open.
+      const bool timed = events && obs::FlightRecorder::global().active();
       std::size_t ok = 0, pruned = 0, audits = 0, false_benign = 0;
       for (std::size_t j = jb; j < je; ++j) {
         const std::size_t k = slot(j);
@@ -717,7 +720,7 @@ CampaignResult<Record> run_window(const CampaignSpec& spec, TrialRange window,
         for (unsigned attempt = 0; attempt <= spec.max_retries; ++attempt) {
           if (attempt > 0) engine.before_retry(i, attempt);
           const CancelToken cancel = deadline ? engine.token() : CancelToken();
-          const double t0 = events ? obs::TraceRecorder::now_us() : 0.0;
+          const double t0 = timed ? obs::TraceRecorder::now_us() : 0.0;
           try {
             // A fresh stream per attempt: a retried trial replays the exact
             // stream of its first attempt.
@@ -726,7 +729,7 @@ CampaignResult<Record> run_window(const CampaignSpec& spec, TrialRange window,
             status = TrialStatus::kOk;
             if (events)
               LORE_OBS_EVENT(obs::EventKind::kTrialCompleted, i,
-                             obs::TraceRecorder::now_us() - t0);
+                             timed ? obs::TraceRecorder::now_us() - t0 : 0.0);
             break;
           } catch (const TrialTimeout&) {
             status = TrialStatus::kTimeout;

@@ -26,6 +26,9 @@ CrossLayerEnvironment::CrossLayerEnvironment(CrossLayerConfig cfg)
     cond.toggle_rate_ghz = obs[1] * obs[3];
     return device::combined_mttf_years(mechanisms, cond);
   });
+  energy_model_ = &registry_.model("energy");
+  ser_model_ = &registry_.model("ser");
+  mttf_model_ = &registry_.model("mttf");
 }
 
 std::size_t CrossLayerEnvironment::num_states() const {
@@ -65,13 +68,13 @@ ReliabilityEnvironment::StepResult CrossLayerEnvironment::step(std::size_t actio
   const double utilization = std::min(1.0, demanded_load_ / capacity_ratio);
   const double undone = std::max(0.0, demanded_load_ - capacity_ratio);
 
-  platform_.step(cfg_.control_dt_s, {utilization});
+  platform_.step(cfg_.control_dt_s, std::span<const double>(&utilization, 1));
 
   const double obs[] = {level.voltage, level.freq_ghz, platform_.core(0).temperature_k,
                         utilization};
-  const double energy = registry_.evaluate("energy", obs);
-  const double ser = registry_.evaluate("ser", obs);
-  const double mttf = registry_.evaluate("mttf", obs);
+  const double energy = (*energy_model_)(obs);
+  const double ser = (*ser_model_)(obs);
+  const double mttf = (*mttf_model_)(obs);
   const double temp_excess =
       std::max(0.0, platform_.core(0).temperature_k - cfg_.temp_limit_k) / 10.0;
 

@@ -34,6 +34,10 @@ struct CrossLayerConfig {
 class CrossLayerEnvironment final : public ReliabilityEnvironment {
  public:
   explicit CrossLayerEnvironment(CrossLayerConfig cfg = {});
+  /// The registered models capture `this` and the environment holds pointers
+  /// into its own registry, so a copy would evaluate the original's state.
+  CrossLayerEnvironment(const CrossLayerEnvironment&) = delete;
+  CrossLayerEnvironment& operator=(const CrossLayerEnvironment&) = delete;
 
   std::size_t num_states() const override;
   std::size_t num_actions() const override { return platform_.ladder().size(); }
@@ -52,6 +56,11 @@ class CrossLayerEnvironment final : public ReliabilityEnvironment {
   os::Platform platform_;
   os::SerModel ser_{};
   ResiliencyModelRegistry registry_;
+  /// The energy / SER / MTTF models, resolved once in the constructor so a
+  /// step does no name lookup.
+  const ResiliencyModelRegistry::Model* energy_model_ = nullptr;
+  const ResiliencyModelRegistry::Model* ser_model_ = nullptr;
+  const ResiliencyModelRegistry::Model* mttf_model_ = nullptr;
   lore::Rng rng_;
   double demanded_load_ = 0.5;
 };

@@ -16,9 +16,14 @@ bool ResiliencyModelRegistry::has(const std::string& name) const {
 
 double ResiliencyModelRegistry::evaluate(const std::string& name,
                                          std::span<const double> observation) const {
+  return model(name)(observation);
+}
+
+const ResiliencyModelRegistry::Model& ResiliencyModelRegistry::model(
+    const std::string& name) const {
   const auto it = models_.find(name);
   assert(it != models_.end());
-  return it->second(observation);
+  return it->second;
 }
 
 std::vector<std::string> ResiliencyModelRegistry::names() const {

@@ -44,6 +44,10 @@ class ResiliencyModelRegistry {
   void register_model(const std::string& name, Model model);
   bool has(const std::string& name) const;
   double evaluate(const std::string& name, std::span<const double> observation) const;
+  /// The model registered under `name` (which must exist), for callers that
+  /// resolve it once and evaluate it many times. The reference stays valid
+  /// while the registry lives; re-registering the name replaces its target.
+  const Model& model(const std::string& name) const;
   std::vector<std::string> names() const;
 
  private:

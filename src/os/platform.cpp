@@ -35,6 +35,7 @@ Platform::Platform(std::vector<CoreType> cores, PlatformConfig cfg) : cfg_(std::
     c.min_temperature_k = cfg_.ambient_k;
     cores_.push_back(std::move(c));
   }
+  new_temp_.resize(cores_.size());
 }
 
 void Platform::set_vf(std::size_t core, std::size_t vf_index) {
@@ -68,10 +69,9 @@ double Platform::core_power_w(std::size_t core, double utilization) const {
   return 0.0;
 }
 
-double Platform::step(double dt_s, const std::vector<double>& utilization) {
+double Platform::step(double dt_s, std::span<const double> utilization) {
   assert(utilization.size() == cores_.size() && dt_s > 0.0);
   double energy = 0.0;
-  std::vector<double> new_temp(cores_.size());
   for (std::size_t i = 0; i < cores_.size(); ++i) {
     Core& c = cores_[i];
     const double power = core_power_w(i, utilization[i]);
@@ -85,13 +85,13 @@ double Platform::step(double dt_s, const std::vector<double>& utilization) {
     if (i > 0) coupling += cores_[i - 1].temperature_k - c.temperature_k;
     if (i + 1 < cores_.size()) coupling += cores_[i + 1].temperature_k - c.temperature_k;
     t += cfg_.neighbour_coupling * alpha * coupling;
-    new_temp[i] = t;
+    new_temp_[i] = t;
   }
   for (std::size_t i = 0; i < cores_.size(); ++i) {
     Core& c = cores_[i];
-    c.temperature_k = new_temp[i];
-    c.peak_temperature_k = std::max(c.peak_temperature_k, new_temp[i]);
-    c.min_temperature_k = std::min(c.min_temperature_k, new_temp[i]);
+    c.temperature_k = new_temp_[i];
+    c.peak_temperature_k = std::max(c.peak_temperature_k, new_temp_[i]);
+    c.min_temperature_k = std::min(c.min_temperature_k, new_temp_[i]);
     c.utilization = utilization[i];
   }
   return energy;

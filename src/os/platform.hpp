@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -79,8 +80,9 @@ class Platform {
   double core_power_w(std::size_t core, double utilization) const;
 
   /// Advance the thermal/power state by dt seconds with the given per-core
-  /// utilizations; returns the energy consumed in this step (J).
-  double step(double dt_s, const std::vector<double>& utilization);
+  /// utilizations (one per core); returns the energy consumed in this step
+  /// (J). Does not allocate.
+  double step(double dt_s, std::span<const double> utilization);
 
   /// Work capacity of a core in "reference-core gigacycles per second":
   /// freq * perf_factor; zero when not active.
@@ -91,6 +93,8 @@ class Platform {
  private:
   std::vector<Core> cores_;
   PlatformConfig cfg_;
+  /// step()'s new temperatures, one per core, kept between calls.
+  std::vector<double> new_temp_;
 };
 
 }  // namespace lore::os

@@ -415,37 +415,30 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
   // Each stage runs under its own span so a traced scenario (local or shipped
   // to a fabric worker) decomposes into per-stage intervals; campaign-level
   // spans/events emitted inside a stage nest under it via the ambient context.
+  // The same scope times the stage for `stage_seconds`.
   LORE_OBS_SPAN(scenario_span, "scenario.run");
   ScenarioResult result;
   result.spec = spec;
-  if (spec.device) {
-    LORE_OBS_SPAN(stage_span, "scenario.stage/device");
-    result.device = run_device_stage(spec);
-  }
-  for (std::size_t i = 0; i < spec.faults.size(); ++i) {
-    LORE_OBS_SPAN(stage_span, "scenario.stage/fault." + std::to_string(i));
-    result.faults.push_back(run_fault_stage(spec, i));
-  }
-  if (spec.os) {
-    LORE_OBS_SPAN(stage_span, "scenario.stage/os");
-    result.os = run_os_stage(spec);
-  }
-  if (spec.mixed_criticality) {
-    LORE_OBS_SPAN(stage_span, "scenario.stage/mixed_crit");
-    result.mixed_criticality = run_mixed_crit_stage(spec);
-  }
-  if (spec.replica_drift) {
-    LORE_OBS_SPAN(stage_span, "scenario.stage/replica");
-    result.replica_drift = run_replica_stage(spec);
-  }
-  if (spec.rollback) {
-    LORE_OBS_SPAN(stage_span, "scenario.stage/rollback");
-    result.rollback = run_rollback_stage(spec);
-  }
-  if (spec.crosslayer) {
-    LORE_OBS_SPAN(stage_span, "scenario.stage/crosslayer");
-    result.crosslayer = run_crosslayer_stage(spec);
-  }
+  const auto stage = [&result](const std::string& name, auto&& run_stage) {
+    LORE_OBS_SPAN(stage_span, "scenario.stage/" + name);
+    const auto stage_start = std::chrono::steady_clock::now();
+    run_stage();
+    result.stage_seconds.emplace_back(
+        name, std::chrono::duration<double>(std::chrono::steady_clock::now() - stage_start)
+                  .count());
+  };
+  if (spec.device) stage("device", [&] { result.device = run_device_stage(spec); });
+  for (std::size_t i = 0; i < spec.faults.size(); ++i)
+    stage("fault." + std::to_string(i),
+          [&] { result.faults.push_back(run_fault_stage(spec, i)); });
+  if (spec.os) stage("os", [&] { result.os = run_os_stage(spec); });
+  if (spec.mixed_criticality)
+    stage("mixed_crit", [&] { result.mixed_criticality = run_mixed_crit_stage(spec); });
+  if (spec.replica_drift)
+    stage("replica", [&] { result.replica_drift = run_replica_stage(spec); });
+  if (spec.rollback) stage("rollback", [&] { result.rollback = run_rollback_stage(spec); });
+  if (spec.crosslayer)
+    stage("crosslayer", [&] { result.crosslayer = run_crosslayer_stage(spec); });
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   return result;
@@ -540,6 +533,9 @@ obs::Json result_to_json(const ScenarioResult& result) {
   j["name"] = result.spec.name;
   j["seed"] = static_cast<std::int64_t>(result.spec.seed);
   j["wall_seconds"] = result.wall_seconds;
+  Json stages = Json::object();
+  for (const auto& [name, seconds] : result.stage_seconds) stages[name] = seconds;
+  j["stage_seconds"] = std::move(stages);
   j["total_trials"] = static_cast<std::int64_t>(result.total_trials());
   if (result.device) {
     Json d = Json::object();

@@ -15,6 +15,7 @@
 
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/arch/fault.hpp"
@@ -117,6 +118,10 @@ struct ScenarioResult {
   std::optional<RollbackStageResult> rollback;
   std::optional<CrossLayerStageResult> crosslayer;
   double wall_seconds = 0.0;
+  /// Wall time of each stage that ran, in run order, keyed like its
+  /// `scenario.stage/<name>` span: device, fault.N, os, mixed_crit, replica,
+  /// rollback, crosslayer. Wall-clock, so outside the fingerprint.
+  std::vector<std::pair<std::string, double>> stage_seconds;
 
   /// Campaign trials executed across stages (fault campaigns + rollback
   /// Monte Carlo runs) — the sweep throughput denominator.
@@ -128,7 +133,8 @@ struct ScenarioResult {
 ScenarioResult run_scenario(const ScenarioSpec& spec);
 
 /// Key numbers of a result as JSON (for artifacts and the example runner's
-/// --json mode). Deterministic except for the `wall_seconds` member.
+/// --json mode). Deterministic except for the `wall_seconds` and
+/// `stage_seconds` members.
 obs::Json result_to_json(const ScenarioResult& result);
 
 /// FNV-1a over every deterministic bit of a result — fault records, OS

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 namespace lore::os {
 namespace {
 
@@ -46,11 +48,11 @@ TEST(Platform, PowerStatesOrdered) {
 TEST(Platform, ThermalHeatingAndCooling) {
   auto p = two_core_platform();
   p.set_vf(0, 4);
-  for (int i = 0; i < 200; ++i) p.step(0.01, {1.0, 0.0});
+  for (int i = 0; i < 200; ++i) p.step(0.01, std::array{1.0, 0.0});
   const double hot = p.core(0).temperature_k;
   EXPECT_GT(hot, p.config().ambient_k + 5.0);
   // Cooling back down when idle.
-  for (int i = 0; i < 400; ++i) p.step(0.01, {0.0, 0.0});
+  for (int i = 0; i < 400; ++i) p.step(0.01, std::array{0.0, 0.0});
   EXPECT_LT(p.core(0).temperature_k, hot);
   EXPECT_DOUBLE_EQ(p.core(0).peak_temperature_k, hot);
 }
@@ -58,7 +60,7 @@ TEST(Platform, ThermalHeatingAndCooling) {
 TEST(Platform, NeighbourCouplingWarmsIdleCore) {
   auto p = two_core_platform();
   p.set_vf(0, 4);
-  for (int i = 0; i < 300; ++i) p.step(0.01, {1.0, 0.0});
+  for (int i = 0; i < 300; ++i) p.step(0.01, std::array{1.0, 0.0});
   // Core 1 idles but sits next to the hot core 0.
   EXPECT_GT(p.core(1).temperature_k, p.config().ambient_k + 0.5);
 }
@@ -74,9 +76,9 @@ TEST(Platform, CapacityReflectsTypeAndState) {
 
 TEST(Platform, EnergyAccumulatesOverSteps) {
   auto p = two_core_platform();
-  const double e1 = p.step(0.01, {1.0, 1.0});
+  const double e1 = p.step(0.01, std::array{1.0, 1.0});
   EXPECT_GT(e1, 0.0);
-  const double e2 = p.step(1.0, {1.0, 1.0});
+  const double e2 = p.step(1.0, std::array{1.0, 1.0});
   EXPECT_GT(e2, e1);
 }
 

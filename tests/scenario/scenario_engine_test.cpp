@@ -46,6 +46,32 @@ TEST(ScenarioEngine, FingerprintSeesSeedChanges) {
   EXPECT_NE(base, result_fingerprint(run_scenario(spec)));
 }
 
+TEST(ScenarioEngine, StageSecondsNameEveryStageAndStayOutOfTheFingerprint) {
+  ScenarioSpec spec = fault_heavy_spec();
+  spec.rollback = RollbackSpec{};
+  spec.rollback->runs_per_point = 4;
+  const ScenarioResult result = run_scenario(spec);
+  ASSERT_EQ(result.stage_seconds.size(), 3u);
+  EXPECT_EQ(result.stage_seconds[0].first, "fault.0");
+  EXPECT_EQ(result.stage_seconds[1].first, "fault.1");
+  EXPECT_EQ(result.stage_seconds[2].first, "rollback");
+  double staged = 0.0;
+  for (const auto& [name, seconds] : result.stage_seconds) {
+    EXPECT_GE(seconds, 0.0) << name;
+    staged += seconds;
+  }
+  EXPECT_LE(staged, result.wall_seconds);
+
+  const obs::Json json = result_to_json(result);
+  const obs::Json& stages = json.at("stage_seconds");
+  EXPECT_EQ(stages.members().size(), 3u);
+  EXPECT_EQ(stages.at("rollback").as_double(), result.stage_seconds[2].second);
+
+  ScenarioResult retimed = result;
+  for (auto& [name, seconds] : retimed.stage_seconds) seconds += 1.0;
+  EXPECT_EQ(result_fingerprint(retimed), result_fingerprint(result));
+}
+
 TEST(ScenarioEngine, RollbackStageMatchesLegacyEntryPoint) {
   ScenarioSpec spec;
   spec.name = "rollback_equiv";
