@@ -41,44 +41,54 @@ void report() {
 }
 
 void report_parallel_engine() {
-  bench::print_header(
-      "Monte Carlo engine — serial vs parallel throughput",
-      "Fig. 5 sweep (3 points x 400 runs, DS + WCET schedulers) at several "
-      "thread counts; per-run counter seeding keeps every sweep bit-identical "
-      "to the serial path.");
   ExperimentConfig cfg;
-  cfg.error_probabilities = {1e-6, 1e-5, 1e-4};
-  cfg.runs_per_point = 400;
+  cfg.error_probabilities = {1e-6, 3e-6, 1e-5, 1e-4};
+  cfg.runs_per_point = 100000;
   const std::vector<SchedulerKind> schedulers = {SchedulerKind::kDs, SchedulerKind::kWcet};
+  constexpr int kReps = 5;
+  const std::size_t total_runs = cfg.error_probabilities.size() * cfg.runs_per_point;
+  const std::string sweep =
+      "Fig. 5 sweep (4 points x 100000 runs, DS + WCET schedulers; each run draws "
+      "its rollback sequence once and scores both), best of 5";
 
+  bench::print_header("Monte Carlo engine — serial throughput",
+                      sweep + " on one thread. The gated row: `bench_report.py "
+                      "--check` reads its runs_per_s.");
   cfg.campaign.threads = 1;
   ExperimentResult serial;
   const double serial_s =
-      bench::timed_seconds([&] { serial = run_experiment(cfg, schedulers); });
+      bench::best_of_seconds(kReps, [&] { serial = run_experiment(cfg, schedulers); });
+  Table serial_table({"threads", "runs", "seconds", "runs_per_s"});
+  serial_table.add_row({"1", std::to_string(total_runs), fmt_sig(serial_s, 4),
+                        fmt_sig(static_cast<double>(total_runs) / serial_s, 4)});
+  bench::print_table(serial_table);
 
-  const std::size_t total_runs = cfg.error_probabilities.size() * cfg.runs_per_point;
-  Table t({"threads", "seconds", "runs_per_s", "speedup_vs_serial", "bit_identical"});
-  for (unsigned threads : {1u, 2u, 4u, 8u}) {
+  bench::print_header(
+      "Monte Carlo engine — serial vs parallel",
+      sweep + " per thread count; per-run counter seeding keeps every sweep "
+      "bit-identical to the serial path. Not gated: parallel speedup on a "
+      "shared host measures its neighbours as much as the engine.");
+  Table t({"threads", "seconds", "speedup_vs_serial", "bit_identical"});
+  t.add_row({"1", fmt_sig(serial_s, 4), "1", "yes"});
+  for (unsigned threads : {2u, 4u, 8u}) {
     cfg.campaign.threads = threads;
     ExperimentResult result;
     const double elapsed =
-        threads == 1 ? serial_s
-                     : bench::timed_seconds([&] { result = run_experiment(cfg, schedulers); });
+        bench::best_of_seconds(kReps, [&] { result = run_experiment(cfg, schedulers); });
     bool identical = true;
-    if (threads != 1) {
-      for (std::size_t i = 0; i < serial.points.size(); ++i) {
-        identical &= serial.points[i].avg_rollbacks_per_segment ==
-                     result.points[i].avg_rollbacks_per_segment;
-        identical &= serial.points[i].hit_rate == result.points[i].hit_rate;
-      }
+    for (std::size_t i = 0; i < serial.points.size(); ++i) {
+      identical &= serial.points[i].avg_rollbacks_per_segment ==
+                   result.points[i].avg_rollbacks_per_segment;
+      identical &= serial.points[i].hit_rate == result.points[i].hit_rate;
     }
-    t.add_row({std::to_string(threads), fmt_sig(elapsed, 4),
-               fmt_sig(static_cast<double>(total_runs) / elapsed, 4),
-               fmt_sig(serial_s / elapsed, 3), identical ? "yes" : "NO"});
+    t.add_row({std::to_string(threads), fmt_sig(elapsed, 4), fmt_sig(serial_s / elapsed, 3),
+               identical ? "yes" : "NO"});
   }
   bench::print_table(t);
   bench::print_note(
-      "Expected: scaling with core count, bit_identical=yes on every row.");
+      "Expected: bit_identical=yes on every row. speedup_vs_serial tracks the "
+      "free cores of the host (meta.host_cores in the artifact); no scaling is "
+      "claimed from it.");
 }
 
 void BM_SampleSegmentCycles(benchmark::State& state) {
