@@ -118,9 +118,9 @@ std::vector<Segment> segment_adpcm_workload(const SegmentationConfig& cfg) {
         rng.uniform(static_cast<double>(cfg.min_cycles), static_cast<double>(cfg.max_cycles)));
     const auto block_samples =
         static_cast<std::size_t>(static_cast<double>(target) / cycles_per_sample);
-    // The block's audio seed: segmentation used to synthesize and encode the
-    // block here and drop the codes. The draw stays so every later segment
-    // keeps its length.
+    // The block's audio seed. Segmentation does not synthesize or encode the
+    // block, but the draw stays: the stream position fixes every later
+    // segment's length.
     rng.next_u64();
     segments.push_back(Segment{adpcm_cycle_cost(block_samples)});
   }

@@ -59,7 +59,7 @@ std::uint64_t sample_segment_cycles(double p, std::uint64_t nominal_cycles,
                                     std::uint64_t* rollbacks_out) {
   // The vulnerable window of an attempt is the segment plus its checkpoint.
   const std::uint64_t window = nominal_cycles + params.checkpoint_cycles;
-  const std::uint64_t n = RollbackSampler(p, window).draw(rng);
+  const std::uint64_t n = sample_rollbacks(p, window, rng);
   if (rollbacks_out != nullptr) *rollbacks_out = n;
   return segment_total_cycles(nominal_cycles, n, params);
 }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "src/common/parallel.hpp"
@@ -109,6 +110,16 @@ TEST(MonteCarloDifferential, SchedulerOrderAndSubsetsMatchSimulateRun) {
   const std::vector<SchedulerKind> schedulers{SchedulerKind::kDsLearned, SchedulerKind::kWcet,
                                               SchedulerKind::kDs};
   expect_points_equal(oracle_sweep(cfg, schedulers), run_experiment(cfg, schedulers).points);
+}
+
+TEST(MonteCarloDifferential, MoreSchedulersThanScoreSlotsIsRejected) {
+  // A run holds one score per scheduler kind; a longer list is a caller error.
+  ExperimentConfig cfg;
+  cfg.error_probabilities = {1e-6};
+  cfg.runs_per_point = 2;
+  std::vector<SchedulerKind> schedulers = kAllSchedulers;
+  schedulers.push_back(SchedulerKind::kDs);
+  EXPECT_THROW(run_experiment(cfg, schedulers), std::invalid_argument);
 }
 
 TEST(MonteCarloGolden, DefaultSweepPointPinnedInHexFloats) {
