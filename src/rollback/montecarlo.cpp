@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <stdexcept>
 #include <string>
 
 #include "src/common/parallel.hpp"
@@ -20,19 +19,20 @@ namespace {
 /// Monte Carlo run streams derived from the same experiment seed.
 constexpr std::uint64_t kCalibrationTag = 0x63616c6962726174ULL;  // "calibrat"
 
-/// Most schedulers one run is scored against: one per SchedulerKind.
-constexpr std::size_t kMaxSchedulers = 5;
+/// Score slots of one Monte Carlo run: one per SchedulerKind.
+constexpr std::size_t kSchedulerKinds = 5;
 
-/// Outcomes of one Monte Carlo run, aligned with the scheduler list. Fixed
+/// Outcomes of one Monte Carlo run, one hit rate per distinct scheduler kind
+/// in the order the kinds first appear in the scheduler list. Fixed
 /// capacity, so a trial does not allocate.
 struct RunSample {
   double rollbacks = 0.0;
   std::size_t schedulers = 0;
-  std::array<double, kMaxSchedulers> hit_rate{};
+  std::array<double, kSchedulerKinds> hit_rate{};
 };
 
-/// Byte layout (unchanged since the scores lived in a vector, so older
-/// checkpoints resume): rollbacks f64, score count u64, one f64 per score.
+/// Byte layout: rollbacks f64, score count u64, one f64 per score. Existing
+/// LORECKP1 checkpoints hold records in this layout, so it must not change.
 struct RunSampleCodec {
   static void encode(lore::ByteWriter& w, const RunSample& r) {
     w.put_f64(r.rollbacks);
@@ -43,10 +43,10 @@ struct RunSampleCodec {
     RunSample rec;
     rec.rollbacks = r.get_f64();
     const std::uint64_t n = r.get_u64();
-    if (n > kMaxSchedulers)
+    if (n > kSchedulerKinds)
       throw lore::CheckpointError("rollback run record: " + std::to_string(n) +
                                   " scheduler scores exceed the capacity of " +
-                                  std::to_string(kMaxSchedulers));
+                                  std::to_string(kSchedulerKinds));
     rec.schedulers = static_cast<std::size_t>(n);
     for (std::size_t k = 0; k < rec.schedulers; ++k) rec.hit_rate[k] = r.get_f64();
     return rec;
@@ -126,27 +126,29 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
   // Monte Carlo trial reads it read-only, so the campaign body stays a pure
   // function of its trial index:
   //  - per (point, segment), the prepared Eq. (2) sampler;
-  //  - per (point, segment, scheduler), the cumulative deadline: the running
-  //    sum of that scheduler's budgets in segment order, the same additions
-  //    simulate_run makes. Static budgets are p-independent; DS-ML
+  //  - per (point, segment, scheduler kind), the cumulative deadline: the
+  //    running sum of that scheduler's budgets in segment order, the same
+  //    additions simulate_run makes. Static budgets are p-independent; DS-ML
   //    recalibrates per point (it sees the field error rate through its
-  //    calibration runs).
+  //    calibration runs). A kind listed twice scores identically, so each
+  //    distinct kind is scored once.
+  std::vector<SchedulerKind> kinds;
+  for (auto kind : schedulers)
+    if (std::find(kinds.begin(), kinds.end(), kind) == kinds.end()) kinds.push_back(kind);
+  assert(kinds.size() <= kSchedulerKinds);
   const std::vector<Segment>& segments = result.segments;
   const std::size_t n_seg = segments.size();
-  const std::size_t n_sched = schedulers.size();
-  if (n_sched > kMaxSchedulers)
-    throw std::invalid_argument("run_experiment: more than " +
-                                std::to_string(kMaxSchedulers) + " schedulers");
+  const std::size_t n_kinds = kinds.size();
   const CheckpointParams& checkpoint = cfg.mitigation.checkpoint;
   std::map<SchedulerKind, std::vector<double>> budgets;
-  for (auto kind : schedulers)
+  for (auto kind : kinds)
     if (kind != SchedulerKind::kDsLearned)
       budgets[kind] = static_budgets(kind, segments, checkpoint);
-  const bool wants_learned = std::find(schedulers.begin(), schedulers.end(),
-                                       SchedulerKind::kDsLearned) != schedulers.end();
+  const bool wants_learned =
+      std::find(kinds.begin(), kinds.end(), SchedulerKind::kDsLearned) != kinds.end();
 
   std::vector<RollbackSampler> samplers(n_points * n_seg);
-  std::vector<double> deadlines(n_points * n_seg * n_sched);
+  std::vector<double> deadlines(n_points * n_seg * n_kinds);
   for (std::size_t pi = 0; pi < n_points; ++pi) {
     const double p = cfg.error_probabilities[pi];
     for (std::size_t i = 0; i < n_seg; ++i)
@@ -159,13 +161,13 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
       scheduler.calibrate(segments, p, checkpoint, 10, calib_rng);
       learned = scheduler.budgets(segments, checkpoint);
     }
-    for (std::size_t k = 0; k < n_sched; ++k) {
+    for (std::size_t k = 0; k < n_kinds; ++k) {
       const auto& budget =
-          schedulers[k] == SchedulerKind::kDsLearned ? learned : budgets.at(schedulers[k]);
+          kinds[k] == SchedulerKind::kDsLearned ? learned : budgets.at(kinds[k]);
       double cum_deadline = 0.0;
       for (std::size_t i = 0; i < n_seg; ++i) {
         cum_deadline += budget[i];
-        deadlines[(pi * n_seg + i) * n_sched + k] = cum_deadline;
+        deadlines[(pi * n_seg + i) * n_kinds + k] = cum_deadline;
       }
     }
   }
@@ -187,9 +189,9 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
         const std::size_t pi = t / runs;
         const std::size_t run = t % runs;
         const RollbackSampler* sampler = &samplers[pi * n_seg];
-        const double* deadline = &deadlines[pi * n_seg * n_sched];
+        const double* deadline = &deadlines[pi * n_seg * n_kinds];
         lore::Rng rng(lore::trial_seed(lore::trial_seed(cfg.campaign.base_seed, pi), run));
-        std::array<std::size_t, kMaxSchedulers> hits{};
+        std::array<std::size_t, kSchedulerKinds> hits{};
         std::uint64_t total_rollbacks = 0;
         double cum_executed = 0.0;  // committed cycles normalized to nominal speed
         for (std::size_t i = 0; i < n_seg; ++i) {
@@ -198,14 +200,14 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
           const std::uint64_t cycles =
               segment_total_cycles(segments[i].nominal_cycles, rollbacks, checkpoint);
           cum_executed += static_cast<double>(cycles) / cfg.mitigation.speed_ratio;
-          for (std::size_t k = 0; k < n_sched; ++k)
-            hits[k] += cum_executed <= deadline[i * n_sched + k];
+          for (std::size_t k = 0; k < n_kinds; ++k)
+            hits[k] += cum_executed <= deadline[i * n_kinds + k];
         }
         RunSample sample;
         sample.rollbacks =
             static_cast<double>(total_rollbacks) / static_cast<double>(n_seg);
-        sample.schedulers = n_sched;
-        for (std::size_t k = 0; k < n_sched; ++k)
+        sample.schedulers = n_kinds;
+        for (std::size_t k = 0; k < n_kinds; ++k)
           sample.hit_rate[k] = static_cast<double>(hits[k]) / static_cast<double>(n_seg);
         return sample;
       });
@@ -218,19 +220,17 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
     SweepPoint point;
     point.p = cfg.error_probabilities[pi];
     lore::RunningStats rollback_stats;
-    std::vector<lore::RunningStats> hit_stats(schedulers.size());
+    std::vector<lore::RunningStats> hit_stats(n_kinds);
     for (std::size_t run = 0; run < runs; ++run) {
       const std::size_t t = pi * runs + run;
       if (campaign.status[t] != lore::TrialStatus::kOk) continue;
       const auto& sample = campaign.records[t];
       rollback_stats.add(sample.rollbacks);
-      for (std::size_t k = 0; k < schedulers.size(); ++k)
-        hit_stats[k].add(sample.hit_rate[k]);
+      for (std::size_t k = 0; k < n_kinds; ++k) hit_stats[k].add(sample.hit_rate[k]);
     }
     point.avg_rollbacks_per_segment = rollback_stats.mean();
     point.sem_rollbacks = rollback_stats.sem();
-    for (std::size_t k = 0; k < schedulers.size(); ++k)
-      point.hit_rate[schedulers[k]] = hit_stats[k].mean();
+    for (std::size_t k = 0; k < n_kinds; ++k) point.hit_rate[kinds[k]] = hit_stats[k].mean();
     result.points.push_back(std::move(point));
   }
   return result;

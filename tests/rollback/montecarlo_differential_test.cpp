@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <stdexcept>
 #include <vector>
 
 #include "src/common/parallel.hpp"
@@ -112,14 +111,15 @@ TEST(MonteCarloDifferential, SchedulerOrderAndSubsetsMatchSimulateRun) {
   expect_points_equal(oracle_sweep(cfg, schedulers), run_experiment(cfg, schedulers).points);
 }
 
-TEST(MonteCarloDifferential, MoreSchedulersThanScoreSlotsIsRejected) {
-  // A run holds one score per scheduler kind; a longer list is a caller error.
+TEST(MonteCarloDifferential, RepeatedSchedulersMatchSimulateRun) {
+  // A kind listed twice scores once; the list may be longer than the kinds.
   ExperimentConfig cfg;
-  cfg.error_probabilities = {1e-6};
-  cfg.runs_per_point = 2;
-  std::vector<SchedulerKind> schedulers = kAllSchedulers;
-  schedulers.push_back(SchedulerKind::kDs);
-  EXPECT_THROW(run_experiment(cfg, schedulers), std::invalid_argument);
+  cfg.error_probabilities = {4e-6};
+  cfg.runs_per_point = 6;
+  const std::vector<SchedulerKind> schedulers{
+      SchedulerKind::kWcet, SchedulerKind::kDs,  SchedulerKind::kWcet,     SchedulerKind::kDs15,
+      SchedulerKind::kDs2,  SchedulerKind::kDs,  SchedulerKind::kDsLearned};
+  expect_points_equal(oracle_sweep(cfg, schedulers), run_experiment(cfg, schedulers).points);
 }
 
 TEST(MonteCarloGolden, DefaultSweepPointPinnedInHexFloats) {
